@@ -8,9 +8,12 @@ package updown_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"updown"
@@ -216,5 +219,22 @@ func TestMachineRestoreGuards(t *testing.T) {
 	// Garbage is not a checkpoint.
 	if err := m.Restore(bytes.NewReader([]byte("not a checkpoint at all"))); err == nil {
 		t.Error("garbage stream accepted")
+	}
+
+	// A short stream announcing a 2 GB GAS section must fail on
+	// truncation without allocating what it announces. The header is
+	// magic, version and the two program-shape words.
+	hdr := len("UDMCHKPT") + 4 + 16
+	short := binary.LittleEndian.AppendUint64(append([]byte(nil), buf.Bytes()[:hdr]...), 1<<31)
+	short = append(short, make([]byte, 64)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = m.Restore(bytes.NewReader(short))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("2 GB section in a short stream: got %v, want a truncation error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Errorf("rejected restore allocated %d MB", grew>>20)
 	}
 }

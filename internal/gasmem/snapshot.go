@@ -20,6 +20,10 @@ const (
 	// region Owner tag and the per-node free lists, so a restored machine
 	// can keep reclaiming finished jobs' regions.
 	snapVersion = uint32(3)
+	// snapPrealloc caps what RestoreSnapshot reserves for an announced
+	// free-list length or region count; longer lists grow as their
+	// records arrive, so a corrupt count fails on truncation instead.
+	snapPrealloc = 1 << 12
 )
 
 type snapWriter struct {
@@ -145,13 +149,14 @@ func (g *GAS) RestoreSnapshot(r io.Reader) error {
 		if n > 1<<32 {
 			return fmt.Errorf("gasmem: implausible free-list length %d on node %d", n, i)
 		}
-		fl := make([]extent, n)
-		for j := range fl {
-			fl[j] = extent{Off: sr.u64(), Size: sr.u64()}
-			if sr.err == nil && (fl[j].Size == 0 || fl[j].Off+fl[j].Size > used[i] ||
-				(j > 0 && fl[j].Off < fl[j-1].Off+fl[j-1].Size)) {
+		fl := make([]extent, 0, min(n, snapPrealloc))
+		for j := uint64(0); j < n && sr.err == nil; j++ {
+			x := extent{Off: sr.u64(), Size: sr.u64()}
+			if sr.err == nil && (x.Size == 0 || x.Off+x.Size > used[i] ||
+				(j > 0 && x.Off < fl[j-1].Off+fl[j-1].Size)) {
 				return fmt.Errorf("gasmem: corrupt free extent %d on node %d", j, i)
 			}
+			fl = append(fl, x)
 		}
 		free[i] = fl
 	}
@@ -159,7 +164,7 @@ func (g *GAS) RestoreSnapshot(r io.Reader) error {
 	if sr.err == nil && nregions > 1<<32 {
 		return fmt.Errorf("gasmem: implausible region count %d", nregions)
 	}
-	regions := make([]*Region, 0, nregions)
+	regions := make([]*Region, 0, min(nregions, snapPrealloc))
 	for i := uint64(0); i < nregions && sr.err == nil; i++ {
 		reg := &Region{
 			Base:      sr.u64(),

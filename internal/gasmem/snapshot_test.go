@@ -2,6 +2,8 @@ package gasmem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -90,5 +92,37 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	// A rejected restore must leave the target untouched.
 	if _, err := h3.DRAMmalloc(4096, 0, 1, 4096); err != nil {
 		t.Fatalf("GAS broken after rejected restore: %v", err)
+	}
+}
+
+// TestSnapshotRejectsHugeCounts: a short stream announcing 1<<32 free
+// extents or regions must fail on truncation without reserving what it
+// announces (64 GB and 32 GB of records).
+func TestSnapshotRejectsHugeCounts(t *testing.T) {
+	g := New(4, 1<<20)
+	var buf bytes.Buffer
+	if err := g.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The header is magic, version, node count, capacity and next VA,
+	// then one used word per node; four empty free lists follow, then the
+	// region count.
+	freeAt := len(snapMagic) + 8*(4+g.nodes)
+	regionsAt := freeAt + 8*g.nodes
+	for _, c := range []struct {
+		name string
+		at   int
+	}{{"free list", freeAt}, {"regions", regionsAt}} {
+		d := binary.LittleEndian.AppendUint64(append([]byte(nil), buf.Bytes()[:c.at]...), 1<<32)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := New(4, 1<<20).RestoreSnapshot(bytes.NewReader(d))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s: got %v, want a truncation error", c.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Errorf("%s: rejected restore allocated %d MB", c.name, grew>>20)
+		}
 	}
 }

@@ -3,15 +3,17 @@ package sim
 // Checkpoint/restore correctness: a run paused with RunUntil, serialized
 // with Checkpoint and rebuilt with Restore into a fresh engine must
 // continue bit-identically to a run that was never interrupted — across
-// shard counts, host drivers (pool and multiplexer), and the
-// fixed-lookahead engine. Restore must also reject snapshots from a
-// different format version, machine or actor space with a typed error,
-// without corrupting the target engine.
+// shard counts and both host drivers, including the pool on one CPU.
+// Restore must also reject snapshots from a different format version,
+// machine or actor space with a typed error, without corrupting the
+// target engine, and must not allocate what a corrupt stream announces.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"updown/internal/arch"
@@ -20,12 +22,11 @@ import (
 // fuzzEngine builds an engine running the determinism-fuzz workload.
 // When post is false the workload is omitted: the engine is a blank
 // restore target.
-func fuzzEngine(t *testing.T, seed uint64, shards int, fixed bool, host hostMode, post bool) *Engine {
+func fuzzEngine(t *testing.T, seed uint64, shards int, post bool) *Engine {
 	t.Helper()
 	m := arch.DefaultMachine(7)
 	e, err := NewEngine(m, Options{
-		Shards:         shards,
-		FixedLookahead: fixed,
+		Shards: shards,
 		LaneFactory: func(id arch.NetworkID) Actor {
 			return &fuzzActor{m: &m, seed: seed}
 		},
@@ -33,7 +34,6 @@ func fuzzEngine(t *testing.T, seed uint64, shards int, fixed bool, host hostMode
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.host = host
 	if post {
 		for r := uint64(0); r < 5; r++ {
 			h := splitmix64(seed + r)
@@ -57,7 +57,7 @@ func engineState(e *Engine) ([]arch.Cycles, []uint64) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	const seed = 0xfeedface
-	ref := fuzzEngine(t, seed, 1, false, hostAuto, true)
+	ref := fuzzEngine(t, seed, 1, true)
 	refStats, err := ref.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -70,18 +70,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
 		shards int
-		fixed  bool
-		host   hostMode
+		procs  int
 	}{
-		{"sequential", 1, false, hostAuto},
-		{"pool-adaptive", 3, false, hostPool},
-		{"mux-adaptive", 3, false, hostMux},
-		{"pool-fixed", 3, true, hostPool},
+		{"sequential", 1, 0},
+		{"pool-adaptive", 3, 0},
+		{"pool-1cpu", 3, 1},
 	}
 	for _, c := range cases {
 		for _, pause := range []arch.Cycles{0, 900, 2600, 7000} {
 			t.Run(fmt.Sprintf("%s/pause=%d", c.name, pause), func(t *testing.T) {
-				e := fuzzEngine(t, seed, c.shards, c.fixed, c.host, true)
+				defer pinProcs(c.procs)()
+				e := fuzzEngine(t, seed, c.shards, true)
 				if _, err := e.RunUntil(pause); err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +91,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				// Restore into a fresh engine with a different shard count
 				// than the one that checkpointed: the format is
 				// host-shape-independent.
-				f := fuzzEngine(t, seed, 2, c.fixed, c.host, false)
+				f := fuzzEngine(t, seed, 2, false)
 				if err := f.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatal(err)
 				}
@@ -118,9 +117,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointCanonicalBytes: checkpoints of the same simulation state
 // are byte-identical regardless of the shard count and host driver that
-// produced them. (Adaptive drivers only: they all pause at exactly the
-// requested cycle, while the fixed engine's global window may overrun
-// it.)
+// produced them; both drivers pause at exactly the requested cycle.
 func TestCheckpointCanonicalBytes(t *testing.T) {
 	const seed = 0xabad1dea
 	for _, pause := range []arch.Cycles{1200, 5200} {
@@ -130,15 +127,18 @@ func TestCheckpointCanonicalBytes(t *testing.T) {
 			cfgs := []struct {
 				name   string
 				shards int
-				host   hostMode
+				procs  int
 			}{
-				{"seq", 1, hostAuto},
-				{"pool-2", 2, hostPool},
-				{"mux-3", 3, hostMux},
+				{"seq", 1, 0},
+				{"pool-2", 2, 0},
+				{"pool-3-1cpu", 3, 1},
 			}
 			for _, c := range cfgs {
-				e := fuzzEngine(t, seed, c.shards, false, c.host, true)
-				if _, err := e.RunUntil(pause); err != nil {
+				e := fuzzEngine(t, seed, c.shards, true)
+				restore := pinProcs(c.procs)
+				_, err := e.RunUntil(pause)
+				restore()
+				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
@@ -258,6 +258,11 @@ func TestRestoreGuardRails(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := buf.Bytes()
+	// heapCountAt is the offset of the heap-message count: magic,
+	// version, machine words, actor count, host sequence, one injection
+	// port per node and 15 stats words precede it.
+	m := arch.DefaultMachine(7)
+	heapCountAt := len(snapMagic) + 4 + 8*(len(machineWords(m))+2+m.Nodes+15)
 
 	// newTarget mirrors the source engine's actor space (one auxiliary
 	// hashActor) on the given machine.
@@ -323,6 +328,18 @@ func TestRestoreGuardRails(t *testing.T) {
 			kind:   RestoreCorrupt,
 		},
 		{
+			// A short stream announcing 1<<39 heap messages (~66 TB of
+			// Message structs) must fail on truncation without reserving
+			// what it announces.
+			name: "huge heap count",
+			data: func() []byte {
+				d := binary.LittleEndian.AppendUint64(append([]byte(nil), base[:heapCountAt]...), 1<<39)
+				return append(d, make([]byte, 64)...)
+			},
+			target: func() *Engine { return newTarget(7, 0) },
+			kind:   RestoreCorrupt,
+		},
+		{
 			name: "damaged sentinel",
 			data: func() []byte {
 				d := append([]byte(nil), base...)
@@ -336,7 +353,14 @@ func TestRestoreGuardRails(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := c.target()
-			err := e.Restore(bytes.NewReader(c.data()))
+			data := c.data()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := e.Restore(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+				t.Errorf("rejected restore allocated %d MB", grew>>20)
+			}
 			if err == nil {
 				t.Fatal("Restore accepted a snapshot it must reject")
 			}

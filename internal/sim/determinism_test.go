@@ -94,7 +94,7 @@ func fuzzRun(t *testing.T, seed uint64, shards int) (Stats, []arch.Cycles, []uin
 
 // phaseActor alternates traffic locality by simulated time: during even
 // 4000-cycle phases every send stays on the sender's node (provably
-// local — the adaptive scheduler should widen windows), during odd
+// local — the pool should widen windows), during odd
 // phases sends fan out across nodes (the scheduler must fall back to the
 // conservative cross-node bound the instant a cross-shard send is
 // staged). Some sends are delayed far enough to land in the opposite
@@ -130,14 +130,13 @@ func (a *phaseActor) OnMessage(env *Env, msg *Message) {
 	}
 }
 
-// phaseRun executes the phase-alternating workload under one host
-// configuration and returns stats plus per-actor final state.
-func phaseRun(t *testing.T, seed uint64, shards int, fixed bool, host hostMode) (Stats, []arch.Cycles, []uint64) {
+// phaseRun executes the phase-alternating workload at one shard count
+// and returns stats plus per-actor final state.
+func phaseRun(t *testing.T, seed uint64, shards int) (Stats, []arch.Cycles, []uint64) {
 	t.Helper()
 	m := arch.DefaultMachine(7)
 	e, err := NewEngine(m, Options{
-		Shards:         shards,
-		FixedLookahead: fixed,
+		Shards: shards,
 		LaneFactory: func(id arch.NetworkID) Actor {
 			return &phaseActor{m: &m, seed: seed}
 		},
@@ -145,7 +144,6 @@ func phaseRun(t *testing.T, seed uint64, shards int, fixed bool, host hostMode) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.host = host
 	for r := uint64(0); r < 4; r++ {
 		h := splitmix64(seed ^ (r + 77))
 		node := int(h % uint64(m.Nodes))
@@ -165,42 +163,54 @@ func phaseRun(t *testing.T, seed uint64, shards int, fixed bool, host hostMode) 
 	return stats, freeAt, seq
 }
 
+// pinProcs sets GOMAXPROCS to procs (0 leaves it unchanged) and returns
+// a func restoring the previous value. At one CPU the pool's barrier
+// takes its yield-at-once path, which a multi-core host never reaches
+// otherwise.
+func pinProcs(procs int) (restore func()) {
+	if procs == 0 {
+		return func() {}
+	}
+	prev := runtime.GOMAXPROCS(procs)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
 // TestDeterminismPhases: a workload alternating intra-node-only and
-// cross-node phases is bit-identical across shard counts, with the
-// adaptive scheduler (under both the worker pool and the cooperative
-// multiplexer) and with the legacy fixed lookahead.
+// cross-node phases is bit-identical across shard counts, with the pool
+// on all host CPUs and on one.
 func TestDeterminismPhases(t *testing.T) {
 	shardCounts := []int{2, 3, 7, runtime.GOMAXPROCS(0)}
 	for _, seed := range []uint64{3, 0xc0ffee} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			refStats, refFree, refSeq := phaseRun(t, seed, 1, false, hostAuto)
+			refStats, refFree, refSeq := phaseRun(t, seed, 1)
 			if refStats.Events == 0 {
 				t.Fatal("phase workload executed no events")
 			}
 			cfgs := []struct {
 				name  string
-				fixed bool
-				host  hostMode
+				procs int
 			}{
-				{"adaptive-pool", false, hostPool},
-				{"adaptive-mux", false, hostMux},
-				{"fixed", true, hostPool},
+				{"pool", 0},
+				{"pool-1cpu", 1},
 			}
 			for _, cfg := range cfgs {
-				for _, shards := range shardCounts {
-					stats, freeAt, seq := phaseRun(t, seed, shards, cfg.fixed, cfg.host)
-					if stats != refStats {
-						t.Errorf("%s shards=%d: stats diverge: got %+v want %+v",
-							cfg.name, shards, stats, refStats)
-					}
-					for i := range refFree {
-						if freeAt[i] != refFree[i] || seq[i] != refSeq[i] {
-							t.Errorf("%s shards=%d: actor %d diverges: freeAt %d vs %d, seq %d vs %d",
-								cfg.name, shards, i, freeAt[i], refFree[i], seq[i], refSeq[i])
-							break
+				func() {
+					defer pinProcs(cfg.procs)()
+					for _, shards := range shardCounts {
+						stats, freeAt, seq := phaseRun(t, seed, shards)
+						if stats != refStats {
+							t.Errorf("%s shards=%d: stats diverge: got %+v want %+v",
+								cfg.name, shards, stats, refStats)
+						}
+						for i := range refFree {
+							if freeAt[i] != refFree[i] || seq[i] != refSeq[i] {
+								t.Errorf("%s shards=%d: actor %d diverges: freeAt %d vs %d, seq %d vs %d",
+									cfg.name, shards, i, freeAt[i], refFree[i], seq[i], refSeq[i])
+								break
+							}
 						}
 					}
-				}
+				}()
 			}
 		})
 	}

@@ -5,14 +5,14 @@
 //
 // Actors (lanes, per-node memory controllers, auxiliary stream sources)
 // exchange Messages. Each actor consumes its inbound messages in the
-// deterministic (Deliver, Src, Seq) order. The engine runs either
-// sequentially or with conservative window-parallelism: actors are
-// partitioned by node across shards, and because every cross-node message
-// experiences at least arch.Machine.MinCrossNodeLatency cycles of network
-// latency, windows of that length can be simulated by all shards in
-// parallel without violating causality. Shards are driven by a persistent
-// worker pool with one barrier cycle per window (see pool.go). Both modes
-// produce bit-identical results.
+// deterministic (Deliver, Src, Seq) order. The engine has two drivers,
+// chosen only by shard count. With one shard, runSequential drains a
+// single heap without windows or barriers. With more, actors are
+// partitioned by node across shards and a persistent worker pool
+// (pool.go) simulates conservative windows in parallel: every cross-node
+// message pays at least arch.Machine.MinCrossNodeLatency cycles of network
+// latency, so per-shard horizons derived from that bound (lookahead.go)
+// never violate causality. Both drivers produce bit-identical results.
 package sim
 
 import (
@@ -112,15 +112,6 @@ type Options struct {
 	// ErrInterrupted). Nil disables the plane at one nil-check per
 	// window — telemetry hooks never sit on the per-event path.
 	Telemetry *telemetry.Publisher
-	// FixedLookahead selects the legacy conservative window engine: one
-	// global window of MinCrossNodeLatency cycles per barrier, identical
-	// to the PR-1 execution schedule. The default (false) enables the
-	// adaptive topology-aware scheduler: per-shard horizons from the
-	// shard-pair latency-bound matrix, lock-free window extension while
-	// traffic stays intra-shard, and a cooperative single-goroutine
-	// multiplexer when the host has one CPU. Both modes produce
-	// bit-identical results; the flag exists for A/B measurement.
-	FixedLookahead bool
 }
 
 // Stats aggregates measurements across a Run.
@@ -220,19 +211,13 @@ type Engine struct {
 	lookahead arch.Cycles
 	maxTime   arch.Cycles
 	factory   func(id arch.NetworkID) Actor
-	// adaptive enables topology-aware per-shard horizons and the
-	// lock-free window-extension protocol (see lookahead.go / pool.go /
-	// mux.go). laMat[a][b] is the lower bound on the delivery time of any
-	// message a shard-a actor can send to a shard-b actor; laRow[a] is
-	// min over b != a of laMat[a][b]. Both are derived from the node
-	// partition at construction and never change.
-	adaptive bool
-	laMat    [][]arch.Cycles
-	laRow    []arch.Cycles
-	// host selects the parallel driver for adaptive multi-shard runs:
-	// hostAuto picks the cooperative multiplexer when the process has one
-	// CPU and the worker pool otherwise; tests pin a mode to cover both.
-	host hostMode
+	// laMat[a][b] is the lower bound on the delivery time of any message
+	// a shard-a actor can send to a shard-b actor; laRow[a] is min over
+	// b != a of laMat[a][b]. Both feed the pool's per-shard horizons and
+	// extension frontiers (see lookahead.go / pool.go), are derived from
+	// the node partition at construction and never change.
+	laMat [][]arch.Cycles
+	laRow []arch.Cycles
 	// nodeShard maps a node to the shard that owns it, precomputed so
 	// the per-send shard lookup is a table read instead of a
 	// multiply/divide.
@@ -289,19 +274,13 @@ type shard struct {
 	outbox [2][][]Message
 	// parity selects the outbox side written during the current window.
 	parity int
-	// outMin is the earliest Deliver among messages this shard wrote to
-	// its outboxes in the last processed window and that consumers have
-	// not collected yet; it feeds the cooperative window-start
-	// reduction at the barrier. outTo breaks the same minimum down by
-	// destination shard so the reduction can compute per-shard horizons;
-	// both follow the same publish/collect/reset lifecycle.
+	// outMin is the earliest Deliver among messages this shard staged in
+	// its outboxes since the last resetOut; once set it ends the shard's
+	// window (see processWindow). outTo breaks the same minimum down by
+	// destination shard so the barrier reduction can compute per-shard
+	// horizons.
 	outMin arch.Cycles
 	outTo  []arch.Cycles
-	// staged counts this shard's uncollected outbox messages. route
-	// increments it (owner-only write); only the single-goroutine
-	// multiplexer decrements it on collection, where the count gates the
-	// O(shards^2) outbox scan per round. The pool ignores it.
-	staged int
 	stats  Stats
 	// rec is this shard's metrics view, nil when recording is disabled.
 	// Each shard writes only the nodes it owns, so views need no locks.
@@ -342,7 +321,6 @@ func NewEngine(m arch.Machine, opts Options) (*Engine, error) {
 		injBusy64: make([]int64, m.Nodes),
 		nshards:   n,
 		lookahead: m.MinCrossNodeLatency(),
-		adaptive:  !opts.FixedLookahead,
 		maxTime:   maxTime,
 		factory:   opts.LaneFactory,
 		nodeShard: make([]int32, m.Nodes),
@@ -488,12 +466,9 @@ func (e *Engine) Run() (Stats, error) {
 		e.tel.BeginRun()
 	}
 	var timedOut bool
-	switch {
-	case e.nshards == 1:
+	if e.nshards == 1 {
 		timedOut = e.runSequential()
-	case e.useMux():
-		timedOut = e.runMux()
-	default:
+	} else {
 		timedOut = e.runParallel()
 	}
 	e.running = false
@@ -604,7 +579,7 @@ func (e *Engine) runSequential() bool {
 			if s.heap.topDeliver() > e.maxTime {
 				return true
 			}
-			s.processWindow(e.maxTime+1, false)
+			s.processWindow(e.maxTime + 1)
 			s.heap.compact()
 		}
 		return false
@@ -633,7 +608,7 @@ func (e *Engine) runSequential() bool {
 		if m := e.maxTime + 1; h > m {
 			h = m
 		}
-		s.processWindow(h, false)
+		s.processWindow(h)
 		s.heap.compact()
 	}
 	return false
@@ -642,23 +617,22 @@ func (e *Engine) runSequential() bool {
 // processWindow executes all messages with effective start time below the
 // horizon, in deterministic order.
 //
-// abortOnStage ends the slice right after the first event that stages a
-// cross-shard message. The adaptive scheduler requires it: its horizons
-// are lower bounds on what peers could still send given their *current*
-// state, so they remain valid only while this shard's outbound frontier
-// stays closed. A cross-shard send opens it — the recipient may respond
-// (or forward) as early as the send's event time plus a round trip,
-// which a widened horizon might already have passed. Stopping at the
-// send keeps the processed frontier at or below the event time, and the
-// next horizon computation folds the staged message in. The fixed
-// engine's global window never exceeds one latency bound, so it passes
-// false and processes the whole window as before.
-func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
+// The slice ends right after the first event that stages a cross-shard
+// message. The pool's horizons are lower bounds on what peers could still
+// send given their *current* state, so they remain valid only while this
+// shard's outbound frontier stays closed. A cross-shard send opens it —
+// the recipient may respond (or forward) as early as the send's event
+// time plus a round trip, which a widened horizon might already have
+// passed. Stopping at the send keeps the processed frontier at or below
+// the event time, and the next horizon computation folds the staged
+// message in. With one shard nothing is ever staged, so the check never
+// fires.
+func (s *shard) processWindow(horizon arch.Cycles) {
 	e := s.e
 	env := Env{e: e, shard: s}
 	h := &s.heap
 	for h.len() > 0 && h.topDeliver() < horizon {
-		if abortOnStage && s.outMin != math.MaxInt64 {
+		if s.outMin != math.MaxInt64 {
 			break
 		}
 		mi := h.popIdx()
@@ -828,8 +802,7 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 			// dead-letter and stall handling replay identically, and a
 			// staged cross-shard send ends the batch like it ends the
 			// window.
-			if e.fault == nil && d < horizon &&
-				!(abortOnStage && s.outMin != math.MaxInt64) &&
+			if e.fault == nil && d < horizon && s.outMin == math.MaxInt64 &&
 				h.beats(d, nm.Src, nm.Seq) {
 				st.waitqPop()
 				nm.Deliver = d
@@ -1056,7 +1029,6 @@ func (s *shard) route(m *Message, dstShard int) {
 		if m.Deliver < s.outTo[dstShard] {
 			s.outTo[dstShard] = m.Deliver
 		}
-		s.staged++
 	}
 }
 

@@ -2,8 +2,8 @@ package sim
 
 // Engine microbenchmarks measuring host event throughput (host-Mev/s:
 // millions of simulated events executed per wall-clock second). Four
-// workloads stress the distinct host-side costs of the window-parallel
-// engine:
+// workloads stress the distinct host-side costs of the two drivers — the
+// sequential driver at shards=1 and the worker pool above it:
 //
 //   - PingPong: one event per lookahead window — pure per-window overhead
 //     (barrier cost, window advance).
@@ -15,17 +15,19 @@ package sim
 //     production and collection.
 //
 // BENCH_sim.json records these numbers before and after engine changes.
-// Since the adaptive-lookahead entry, the timed region is the Run call
-// only: engine construction (32K actor-state slots on the SparseLane
-// machine) was diluting the measured run-phase differences.
+// Its entries up to the adaptive-lookahead one also cover two drivers
+// deleted since: the fixed-lookahead scheduler and the cooperative
+// multiplexer. The timed region is the Run call only: engine construction
+// (32K actor-state slots on the SparseLane machine) would dilute
+// run-phase differences.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"updown/internal/arch"
+	"updown/internal/telemetry"
 )
 
 // benchShards returns the shard counts to sweep for a machine with the
@@ -161,8 +163,8 @@ func BenchmarkEngineSparseLane(b *testing.B) {
 			var events int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
-				n, d := sparseLaneRun(b, shards, false)
-				events += n
+				stats, d := sparseLaneRun(b, shards, nil)
+				events += stats.Events
 				elapsed += d
 			}
 			reportMevS(b, events, elapsed)
@@ -170,16 +172,16 @@ func BenchmarkEngineSparseLane(b *testing.B) {
 	}
 }
 
-// sparseLaneRun executes the SparseLane workload once and returns the
-// wall-clock time it took; shared by the fixed-lookahead benchmark
-// variant and the adaptive-speedup smoke test.
-func sparseLaneRun(tb testing.TB, shards int, fixed bool) (int64, time.Duration) {
+// sparseLaneRun executes the SparseLane workload once, with tel
+// attached when non-nil, and returns its stats and the wall-clock time
+// of the Run call.
+func sparseLaneRun(tb testing.TB, shards int, tel *telemetry.Publisher) (Stats, time.Duration) {
 	const (
 		nodes  = 16
 		rounds = 5000
 	)
 	m := arch.DefaultMachine(nodes)
-	e, err := NewEngine(m, Options{Shards: shards, FixedLookahead: fixed})
+	e, err := NewEngine(m, Options{Shards: shards, Telemetry: tel})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -193,55 +195,27 @@ func sparseLaneRun(tb testing.TB, shards int, fixed bool) (int64, time.Duration)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return stats.Events, time.Since(start)
+	return stats, time.Since(start)
 }
 
-// BenchmarkEngineSparseLaneFixed is the A/B twin of
-// BenchmarkEngineSparseLane with the legacy fixed lookahead, so the
-// adaptive scheduler's effect on the lookahead-bound workload can be
-// measured from the bench grid alone.
-func BenchmarkEngineSparseLaneFixed(b *testing.B) {
-	for _, shards := range benchShards(16) {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var events int64
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				n, d := sparseLaneRun(b, shards, true)
-				events += n
-				elapsed += d
-			}
-			reportMevS(b, events, elapsed)
-		})
+// TestPoolElidesBarriers is the CI gate on the pool's barrier elision:
+// SparseLane's two chains never cross a shard, so at 4 shards the
+// lock-free extension phase must carry the whole run through a handful
+// of barrier windows instead of one per lookahead (a fixed window of
+// MinCrossNodeLatency cycles needs about 5000 here), and the result
+// must equal the sequential driver's. The telemetry beat counts the
+// windows; with no cross-shard traffic that count does not depend on
+// thread timing, so the gate holds under -race and at GOMAXPROCS=1.
+func TestPoolElidesBarriers(t *testing.T) {
+	ref, _ := sparseLaneRun(t, 1, nil)
+	pub := &telemetry.Publisher{}
+	stats, _ := sparseLaneRun(t, 4, pub)
+	if stats.Events != ref.Events || stats.FinalTime != ref.FinalTime {
+		t.Errorf("shards=4: events %d final %d, sequential: events %d final %d",
+			stats.Events, stats.FinalTime, ref.Events, ref.FinalTime)
 	}
-}
-
-// TestAdaptiveLookaheadSpeedup is the CI bench smoke (satellite of the
-// adaptive-lookahead change): on the lookahead-bound SparseLane workload
-// the adaptive scheduler must not be slower than the fixed window it
-// replaced. Gated behind UPDOWN_BENCH_SMOKE because it measures
-// wall-clock time, which is meaningless under -race or a loaded host.
-func TestAdaptiveLookaheadSpeedup(t *testing.T) {
-	if os.Getenv("UPDOWN_BENCH_SMOKE") == "" {
-		t.Skip("set UPDOWN_BENCH_SMOKE=1 to run the wall-clock bench smoke")
-	}
-	const shards = 4
-	best := func(fixed bool) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			if _, d := sparseLaneRun(t, shards, fixed); d < b {
-				b = d
-			}
-		}
-		return b
-	}
-	// Warm up both paths once, then take best-of-3 each.
-	sparseLaneRun(t, shards, false)
-	sparseLaneRun(t, shards, true)
-	adaptive, fixed := best(false), best(true)
-	t.Logf("SparseLane shards=%d: adaptive %v, fixed %v (%.2fx)",
-		shards, adaptive, fixed, float64(fixed)/float64(adaptive))
-	if adaptive > fixed {
-		t.Errorf("adaptive lookahead slower than fixed on SparseLane: %v > %v", adaptive, fixed)
+	if w := pub.Latest().Windows; w > 50 {
+		t.Errorf("shards=4: %d barrier windows, want at most 50", w)
 	}
 }
 

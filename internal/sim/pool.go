@@ -1,12 +1,9 @@
-// Persistent worker pool for the window-parallel engine.
+// Persistent worker pool: the engine's driver for every run with more
+// than one shard.
 //
-// The previous engine spawned nshards goroutines and joined a
-// sync.WaitGroup twice per lookahead window (once to process, once to
-// collect cross-shard messages). On window-dominated workloads — one
-// event per window is common in latency-bound phases — that host
-// overhead dwarfed the simulation work. This pool starts one goroutine
-// per shard for the whole Run and synchronizes them with a reusable
-// sense-reversing barrier, one barrier cycle per window:
+// The pool starts one goroutine per shard for the whole Run and
+// synchronizes them with a reusable sense-reversing barrier, one barrier
+// cycle per window:
 //
 //	publish local min ─ barrier (reduce → horizons) ─ collect ─ process
 //
@@ -21,10 +18,9 @@
 // still send it (see lookahead.go): next[A] is the earliest message
 // shard A could still execute — its heap top plus staged outbox
 // messages bound for it — and horizon[B] is the min over A != B of
-// next[A] + laMat[A][B]. With a fixed lookahead every horizon collapses
-// to windowStart + MinCrossNodeLatency, the legacy schedule.
+// next[A] + laMat[A][B].
 //
-// Between barriers the adaptive mode adds a lock-free extension phase:
+// Between barriers the workers run a lock-free extension phase:
 // after draining its window, a shard that staged no cross-shard traffic
 // publishes the earliest cycle anything it does next could become
 // visible elsewhere (heap top + laRow, monotone non-decreasing until
@@ -48,7 +44,8 @@ import (
 
 // barrier is a reusable sense-reversing barrier for n participants. The
 // last goroutine to arrive runs the reduction closure before releasing
-// the others.
+// the others. On a one-CPU host the waiters yield on every spin, so the
+// shards take turns on the single CPU instead of burning its time slice.
 type barrier struct {
 	n      int32
 	count  atomic.Int32
@@ -188,13 +185,6 @@ func (p *pool) reduce() {
 			return
 		}
 	}
-	if !e.adaptive {
-		h := min + e.lookahead
-		for i := range p.horizon {
-			p.horizon[i] = h
-		}
-		return
-	}
 	for b := range p.horizon {
 		h := arch.Cycles(math.MaxInt64)
 		for a := range next {
@@ -239,15 +229,7 @@ func (p *pool) worker(s *shard) {
 		s.collect(parity ^ 1)
 		s.resetOut()
 		s.parity = parity
-		if !e.adaptive {
-			h := p.horizon[s.idx]
-			if s.heap.len() > 0 && s.heap.topDeliver() < h {
-				s.processWindow(h, false)
-				s.heap.compact()
-			}
-		} else {
-			p.extend(s, p.horizon[s.idx], maxH)
-		}
+		p.extend(s, p.horizon[s.idx], maxH)
 		parity ^= 1
 	}
 	// Drain any uncollected inbound messages (possible when MaxTime was
@@ -283,7 +265,7 @@ func (p *pool) extend(s *shard, horizon, maxH arch.Cycles) {
 			}
 		}
 		if s.heap.len() > 0 && s.heap.topDeliver() < horizon {
-			s.processWindow(horizon, true)
+			s.processWindow(horizon)
 			s.heap.compact()
 		}
 		if s.outMin != math.MaxInt64 {

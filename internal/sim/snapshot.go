@@ -50,10 +50,16 @@ type Snapshotter interface {
 }
 
 const (
-	snapMagic   = "UDSIMCKP"
+	snapMagic = "UDSIMCKP"
 	// Version 2 added the Failovers fault counter to the stats record.
 	snapVersion = uint32(2)
 	snapEnd     = uint64(0x55444b5045444e44) // "UDKPEND" sentinel
+
+	// snapPrealloc caps what Restore reserves up front for an announced
+	// count or length. Longer sections grow as their bytes arrive, so a
+	// corrupt header fails on truncation instead of reserving memory it
+	// names but the stream does not hold.
+	snapPrealloc = 1 << 12
 )
 
 // RestoreErrorKind classifies why Engine.Restore rejected a snapshot.
@@ -240,8 +246,9 @@ func (r *SnapReader) U8() uint8 {
 // F64 reads a float64 bit pattern.
 func (r *SnapReader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes reads a length-prefixed byte string, capping the announced
-// length at max to keep corrupt streams from provoking huge allocations.
+// Bytes reads a length-prefixed byte string, rejecting announced
+// lengths above max. Memory grows with the bytes actually read, so a
+// corrupt length costs no more than the stream holds.
 func (r *SnapReader) Bytes(max uint64) []byte {
 	n := r.U64()
 	if r.err != nil {
@@ -251,12 +258,17 @@ func (r *SnapReader) Bytes(max uint64) []byte {
 		r.err = fmt.Errorf("length %d exceeds limit %d", n, max)
 		return nil
 	}
-	b := make([]byte, n)
-	r.read(b)
-	if r.err != nil {
+	var buf bytes.Buffer
+	buf.Grow(int(min(n, snapPrealloc)))
+	got, err := io.CopyN(&buf, r.r, int64(n))
+	if got < int64(n) {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		r.err = err
 		return nil
 	}
-	return b
+	return buf.Bytes()
 }
 
 // String reads a length-prefixed string.
@@ -554,7 +566,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	if sr.err == nil && nmsgs > 1<<40 {
 		return restoreErrf(RestoreCorrupt, "implausible heap message count %d", nmsgs)
 	}
-	snap.heapMsgs = make([]Message, 0, nmsgs)
+	snap.heapMsgs = make([]Message, 0, min(nmsgs, snapPrealloc))
 	for i := uint64(0); i < nmsgs && sr.err == nil; i++ {
 		snap.heapMsgs = append(snap.heapMsgs, readMessage(sr))
 	}
@@ -609,10 +621,7 @@ func (e *Engine) Restore(r io.Reader) error {
 				s.outbox[p][j] = s.outbox[p][j][:0]
 			}
 		}
-		if s.outTo != nil {
-			s.resetOut()
-		}
-		s.staged = 0
+		s.resetOut()
 		s.parity = 0
 		s.stats = Stats{}
 		if si == 0 {

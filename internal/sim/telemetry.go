@@ -8,8 +8,7 @@
 //   - worker pool: inside the barrier reduction, while every worker
 //     waits in the sense-reversing barrier (the atomic count/sense pair
 //     orders their preceding writes before the reduction);
-//   - cooperative multiplexer and sequential driver: between windows on
-//     the single driving goroutine;
+//   - sequential driver: between chunks on the single driving goroutine;
 //   - Run itself, after the drivers return.
 //
 // At such a point the engine assembles an immutable Snapshot from shard
@@ -19,8 +18,8 @@
 // published immutable values, so scrapes and dumps can neither race with
 // the simulation nor change its schedule: window slicing is the only
 // thing telemetry perturbs, and the engine's execution order is provably
-// independent of slicing (the same property that makes the adaptive and
-// fixed schedulers bit-identical).
+// independent of slicing (the same property that makes the sequential
+// driver and the pool bit-identical).
 package sim
 
 import (

@@ -113,7 +113,7 @@ func WriteProm(b *strings.Builder, s *Snapshot) {
 	gauge("updown_cycles_per_second", "simulated cycles advanced per wall second", s.CyclesPerSec)
 	gauge("updown_pending_messages", "messages queued in the engine", float64(s.Pending))
 	counter("updown_snapshots_total", "telemetry snapshots published", s.Seq+1)
-	counter("updown_windows_total", "engine window barriers / scheduler rounds", s.Windows)
+	counter("updown_windows_total", "engine window barriers / sequential chunks", s.Windows)
 	counter("updown_events_total", "executed simulation events", s.Events)
 	counter("updown_sends_total", "messages injected into the network", s.Sends)
 	counter("updown_busy_cycles_total", "sum of actor occupancy cycles", s.BusyCycles)

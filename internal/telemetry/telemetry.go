@@ -8,11 +8,11 @@
 // The consistency model is barrier-quiescence: the engine only touches
 // the Publisher's engine-side API (BeginRun, Beat, Publish, FinishRun)
 // from points where every shard is quiesced — the barrier reduction of
-// the worker pool, the round loop of the cooperative multiplexer, the
-// chunk boundary of the sequential driver, and the end of Run. At such a
-// point the engine owns all simulation state, so it can read shard
-// statistics, heaps and the metrics recorder race-free, assemble an
-// immutable Snapshot, and hand it over through a lock-free pointer swap.
+// the worker pool, the chunk boundary of the sequential driver, and the
+// end of Run. At such a point the engine owns all simulation state, so
+// it can read shard statistics, heaps and the metrics recorder
+// race-free, assemble an immutable Snapshot, and hand it over through a
+// lock-free pointer swap.
 // Readers (HTTP handlers, the watchdog, signal handlers) only ever load
 // that pointer — they never touch sim state, so a scrape or a dump
 // cannot change the simulated execution, and final outputs stay
@@ -97,7 +97,7 @@ type Snapshot struct {
 	MaxTime int64 `json:"max_time"`
 	// WallNanos is wall time elapsed since BeginRun.
 	WallNanos int64 `json:"wall_nanos"`
-	// Windows counts engine beats (window barriers / scheduler rounds).
+	// Windows counts engine beats (pool window barriers / sequential chunks).
 	Windows int64 `json:"windows"`
 	// CyclesPerSec is the window-advance rate: simulated cycles per wall
 	// second between the previous published snapshot and this one. Zero
@@ -232,7 +232,7 @@ func (p *Publisher) BeginRun() {
 // Beat records one engine heartbeat at simTime and reports whether the
 // engine should assemble and Publish a snapshot now: true when the
 // publication throttle has elapsed or a dump is pending. Called once per
-// window barrier / scheduler round.
+// pool window barrier / sequential chunk.
 func (p *Publisher) Beat(simTime int64) bool {
 	now := time.Now()
 	p.beatWall.Store(now.UnixNano())
