@@ -57,16 +57,16 @@ func engineState(e *Engine) ([]arch.Cycles, []uint64) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	const seed = 0xfeedface
-	ref := fuzzEngine(t, seed, 1, true)
-	refStats, err := ref.Run()
-	if err != nil {
-		t.Fatal(err)
+	// The far workload adds a root posted at cycle 1<<40, so the pending
+	// messages at every pause span far more than the event queue's ring.
+	farID := arch.DefaultMachine(7).LaneID(3, 1, 2)
+	build := func(shards int, post, far bool) *Engine {
+		e := fuzzEngine(t, seed, shards, post)
+		if post && far {
+			e.Post(1<<40, farID, arch.KindEvent, seed, 0, 2)
+		}
+		return e
 	}
-	if refStats.Events == 0 {
-		t.Fatal("reference workload executed no events")
-	}
-	refFree, refSeq := engineState(ref)
-
 	cases := []struct {
 		name   string
 		shards int
@@ -76,41 +76,59 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		{"pool-adaptive", 3, 0},
 		{"pool-1cpu", 3, 1},
 	}
-	for _, c := range cases {
-		for _, pause := range []arch.Cycles{0, 900, 2600, 7000} {
-			t.Run(fmt.Sprintf("%s/pause=%d", c.name, pause), func(t *testing.T) {
-				defer pinProcs(c.procs)()
-				e := fuzzEngine(t, seed, c.shards, true)
-				if _, err := e.RunUntil(pause); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := e.Checkpoint(&buf); err != nil {
-					t.Fatal(err)
-				}
-				// Restore into a fresh engine with a different shard count
-				// than the one that checkpointed: the format is
-				// host-shape-independent.
-				f := fuzzEngine(t, seed, 2, false)
-				if err := f.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-				stats, err := f.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats != refStats {
-					t.Errorf("stats diverge after restore:\n got %+v\nwant %+v", stats, refStats)
-				}
-				freeAt, seq := engineState(f)
-				for i := range refFree {
-					if freeAt[i] != refFree[i] || seq[i] != refSeq[i] {
-						t.Errorf("actor %d state diverges: freeAt %d vs %d, seq %d vs %d",
-							i, freeAt[i], refFree[i], seq[i], refSeq[i])
-						break
+	for _, w := range []struct {
+		prefix string
+		far    bool
+		pauses []arch.Cycles
+	}{
+		{"", false, []arch.Cycles{0, 900, 2600, 7000}},
+		{"far/", true, []arch.Cycles{2600, 1 << 39}},
+	} {
+		ref := build(1, true, w.far)
+		refStats, err := ref.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refStats.Events == 0 || w.far && refStats.FinalTime < 1<<40 {
+			t.Fatalf("reference workload did not run as built: %+v", refStats)
+		}
+		refFree, refSeq := engineState(ref)
+		for _, c := range cases {
+			for _, pause := range w.pauses {
+				t.Run(fmt.Sprintf("%s%s/pause=%d", w.prefix, c.name, pause), func(t *testing.T) {
+					defer pinProcs(c.procs)()
+					e := build(c.shards, true, w.far)
+					if _, err := e.RunUntil(pause); err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
+					var buf bytes.Buffer
+					if err := e.Checkpoint(&buf); err != nil {
+						t.Fatal(err)
+					}
+					// Restore into a fresh engine with a different shard count
+					// than the one that checkpointed: the format is
+					// host-shape-independent.
+					f := build(2, false, w.far)
+					if err := f.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+						t.Fatal(err)
+					}
+					stats, err := f.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if stats != refStats {
+						t.Errorf("stats diverge after restore:\n got %+v\nwant %+v", stats, refStats)
+					}
+					freeAt, seq := engineState(f)
+					for i := range refFree {
+						if freeAt[i] != refFree[i] || seq[i] != refSeq[i] {
+							t.Errorf("actor %d state diverges: freeAt %d vs %d, seq %d vs %d",
+								i, freeAt[i], refFree[i], seq[i], refSeq[i])
+							break
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -264,6 +282,45 @@ func TestRestoreGuardRails(t *testing.T) {
 	m := arch.DefaultMachine(7)
 	heapCountAt := len(snapMagic) + 4 + 8*(len(machineWords(m))+2+m.Nodes+15)
 
+	// pending is a checkpoint paused with one queued floating retry and
+	// one parked wait-queue message, both for the auxiliary actor. Its
+	// queued message starts right after the count; the wait-queue message
+	// follows the actor-record count and the record's fixed fields (id,
+	// used, freeAt, seq, busy, wait-queue length).
+	pend, err := NewEngine(arch.DefaultMachine(7), Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := pend.AddActor(&hashActor{h: 7})
+	for i := uint64(0); i < 3; i++ {
+		pend.Post(0, aux, arch.KindEvent, i, 0)
+	}
+	if _, err := pend.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := pend.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pending := buf.Bytes()
+	const msgSize = 8 + 4 + 8 + 4 + 3 + 8 + 8 + 8*MaxOperands
+	heapMsgAt := heapCountAt + 8
+	waitMsgAt := heapMsgAt + msgSize + 8 + 4 + 1 + 8 + 8 + 8 + 8
+	le := binary.LittleEndian
+	if le.Uint64(pending[heapCountAt:]) != 1 || le.Uint64(pending[waitMsgAt-8:]) != 1 ||
+		le.Uint32(pending[heapMsgAt+20:]) != uint32(aux) || le.Uint32(pending[waitMsgAt+20:]) != uint32(aux) {
+		t.Fatal("pending checkpoint layout changed; update the message offsets")
+	}
+	// corrupt returns a copy of the pending checkpoint with b written at
+	// offset at.
+	corrupt := func(at int, b ...byte) func() []byte {
+		return func() []byte {
+			d := append([]byte(nil), pending...)
+			copy(d[at:], b)
+			return d
+		}
+	}
+
 	// newTarget mirrors the source engine's actor space (one auxiliary
 	// hashActor) on the given machine.
 	newTarget := func(nodes int, extraActors int) *Engine {
@@ -338,6 +395,35 @@ func TestRestoreGuardRails(t *testing.T) {
 			},
 			target: func() *Engine { return newTarget(7, 0) },
 			kind:   RestoreCorrupt,
+		},
+		{
+			name:   "queued message for actor -1",
+			data:   corrupt(heapMsgAt+20, 0xff, 0xff, 0xff, 0xff),
+			target: func() *Engine { return newTarget(7, 0) },
+			kind:   RestoreCorrupt,
+			intact: true,
+		},
+		{
+			name:   "negative delivery cycle",
+			data:   corrupt(heapMsgAt, le.AppendUint64(nil, uint64(0xffff_ffff_ffff_fffb))...),
+			target: func() *Engine { return newTarget(7, 0) },
+			kind:   RestoreCorrupt,
+			intact: true,
+		},
+		{
+			name:   "operand count overflow",
+			data:   corrupt(heapMsgAt+25, 200),
+			target: func() *Engine { return newTarget(7, 0) },
+			kind:   RestoreCorrupt,
+			intact: true,
+		},
+		{
+			// A lane's message parked in the auxiliary actor's queue.
+			name:   "wait-queue owner mismatch",
+			data:   corrupt(waitMsgAt+20, 0, 0, 0, 0),
+			target: func() *Engine { return newTarget(7, 0) },
+			kind:   RestoreCorrupt,
+			intact: true,
 		},
 		{
 			name: "damaged sentinel",

@@ -14,6 +14,9 @@ package sim
 //   - CrossNodeStorm: all traffic crosses shards every window — outbox
 //     production and collection.
 //
+// BenchmarkMsgQueue isolates the event queue itself on a PageRank-shaped
+// message stream.
+//
 // BENCH_sim.json records these numbers before and after engine changes.
 // Its entries up to the adaptive-lookahead one also cover two drivers
 // deleted since: the fixed-lookahead scheduler and the cooperative
@@ -27,6 +30,7 @@ import (
 	"time"
 
 	"updown/internal/arch"
+	"updown/internal/prng"
 	"updown/internal/telemetry"
 )
 
@@ -270,5 +274,61 @@ func BenchmarkEngineCrossNodeStorm(b *testing.B) {
 			}
 			reportMevS(b, events, elapsed)
 		})
+	}
+}
+
+// BenchmarkMsgQueue replays a stream shaped like the fig9 PageRank run on
+// the sequential driver through msgHeap alone: about 200k resident
+// messages from 16k lanes, about 120 pops per cycle, and each pop pushing
+// one message at a delay drawn from that run's measured histogram (35%
+// below 1024 cycles, 41% in 1024-2047, 20% in 2048-4095, 4% in
+// 4096-8191). One op is one pop, release and push.
+func BenchmarkMsgQueue(b *testing.B) {
+	const (
+		resident = 200_000
+		lanes    = 1 << 14
+		table    = 1 << 16
+	)
+	r := prng.NewStream(1)
+	delay := make([]arch.Cycles, table)
+	src := make([]arch.NetworkID, table)
+	for i := range delay {
+		lo, span := arch.Cycles(1), arch.Cycles(1023)
+		switch p := r.Intn(100); {
+		case p >= 96:
+			lo, span = 4096, 4096
+		case p >= 76:
+			lo, span = 2048, 2048
+		case p >= 35:
+			lo, span = 1024, 1024
+		}
+		delay[i] = lo + arch.Cycles(r.Uint64n(uint64(span)))
+		src[i] = arch.NetworkID(r.Intn(lanes))
+	}
+	seq := make([]uint64, lanes)
+	var h msgHeap
+	var k int
+	push := func(now arch.Cycles) {
+		s := src[k%table]
+		h.push(Message{Deliver: now + delay[k%table], Src: s, Seq: seq[s]})
+		seq[s]++
+		k++
+	}
+	for h.len() < resident {
+		push(0)
+	}
+	// Warm up into the steady state before timing.
+	for j := 0; j < 4*resident; j++ {
+		i := h.popIdx()
+		now := h.arena[i].Deliver
+		h.release(i)
+		push(now)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := h.popIdx()
+		now := h.arena[i].Deliver
+		h.release(i)
+		push(now)
 	}
 }

@@ -398,9 +398,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	// parked wait-queue entries), in the global total order.
 	var msgs []Message
 	for _, s := range e.shards {
-		for _, ent := range s.heap.idx {
-			msgs = append(msgs, s.heap.arena[ent.i])
-		}
+		s.heap.each(func(m *Message) { msgs = append(msgs, *m) })
 	}
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].before(&msgs[j]) })
 	sw.U64(uint64(len(msgs)))
@@ -503,6 +501,25 @@ type snapPayload struct {
 	data []byte
 }
 
+// checkMessage rejects a decoded message the engine could not deliver:
+// a destination outside the actor space, a negative delivery cycle, more
+// operands than a message carries, or — for a wait-queue entry, whose
+// owner is the id of the actor record holding it (-1 for a queued
+// message) — a destination other than that actor.
+func (e *Engine) checkMessage(m *Message, owner int) error {
+	switch {
+	case m.Dst < 0 || int(m.Dst) >= len(e.actors):
+		return restoreErrf(RestoreCorrupt, "message for out-of-range actor %d", m.Dst)
+	case m.Deliver < 0:
+		return restoreErrf(RestoreCorrupt, "message for actor %d delivers at negative cycle %d", m.Dst, m.Deliver)
+	case m.NOps > MaxOperands:
+		return restoreErrf(RestoreCorrupt, "message for actor %d has %d operands (max %d)", m.Dst, m.NOps, MaxOperands)
+	case owner >= 0 && int(m.Dst) != owner:
+		return restoreErrf(RestoreCorrupt, "wait queue of actor %d holds a message for actor %d", owner, m.Dst)
+	}
+	return nil
+}
+
 // Restore rebuilds the simulation state serialized by Checkpoint into
 // this engine. The engine must have been constructed for the same
 // machine (and with the same auxiliary actors registered); mismatches
@@ -568,7 +585,13 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 	snap.heapMsgs = make([]Message, 0, min(nmsgs, snapPrealloc))
 	for i := uint64(0); i < nmsgs && sr.err == nil; i++ {
-		snap.heapMsgs = append(snap.heapMsgs, readMessage(sr))
+		m := readMessage(sr)
+		if sr.err == nil {
+			if err := e.checkMessage(&m, -1); err != nil {
+				return err
+			}
+		}
+		snap.heapMsgs = append(snap.heapMsgs, m)
 	}
 	nstate := sr.U64()
 	for i := uint64(0); i < nstate && sr.err == nil; i++ {
@@ -587,6 +610,13 @@ func (e *Engine) Restore(r io.Reader) error {
 		}
 		if a.id < 0 || a.id >= len(e.actors) {
 			return restoreErrf(RestoreCorrupt, "actor record for out-of-range id %d", a.id)
+		}
+		if sr.err == nil {
+			for j := range a.waitq {
+				if err := e.checkMessage(&a.waitq[j], a.id); err != nil {
+					return err
+				}
+			}
 		}
 		snap.actors = append(snap.actors, a)
 	}
@@ -648,9 +678,6 @@ func (e *Engine) Restore(r io.Reader) error {
 	// destination.
 	for i := range snap.heapMsgs {
 		m := &snap.heapMsgs[i]
-		if int(m.Dst) >= len(e.actors) {
-			return restoreErrf(RestoreCorrupt, "heap message for out-of-range actor %d", m.Dst)
-		}
 		e.shards[e.shardOf(m.Dst)].heap.push(*m)
 		if m.retry {
 			e.state[m.Dst].floating++

@@ -18,6 +18,13 @@ go build ./...
 go test ./...
 go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/telemetry/
 
+# Event-queue fuzz smoke: the calendar queue's ring, far heap, slide-back
+# and compaction paths are checked against a sorted reference on
+# coverage-guided operation sequences. The checked-in corpus runs in every
+# go test; this short run keeps exploring beyond it, so a regression in a
+# rarely taken path has a chance to show before it reorders a simulation.
+go test -run '^$' -fuzz '^FuzzMsgQueue$' -fuzztime 10s ./internal/sim/
+
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
 # that coalesced+combined PageRank pushes strictly fewer messages into
 # the inter-node network than the classic shuffle while emitting the
