@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 const (
@@ -21,8 +22,9 @@ const (
 	// can keep reclaiming finished jobs' regions.
 	snapVersion = uint32(3)
 	// snapPrealloc caps what RestoreSnapshot reserves for an announced
-	// free-list length or region count; longer lists grow as their
-	// records arrive, so a corrupt count fails on truncation instead.
+	// free-list length, region count or node store length; longer ones
+	// grow as their records arrive, so a corrupt count fails on
+	// truncation instead.
 	snapPrealloc = 1 << 12
 )
 
@@ -210,9 +212,14 @@ func (g *GAS) RestoreSnapshot(r io.Reader) error {
 		if n*WordBytes > capacity+WordBytes {
 			return fmt.Errorf("gasmem: node %d store of %d words exceeds capacity", i, n)
 		}
-		st := make([]uint64, n)
-		for j := range st {
-			st[j] = sr.u64()
+		st := make([]uint64, 0, min(n, snapPrealloc))
+		for uint64(len(st)) < n && sr.err == nil {
+			if len(st) == cap(st) {
+				// Double, but never past n: a store read in full ends
+				// at its exact size, not with up to 2x slack.
+				st = slices.Grow(st, int(min(uint64(cap(st)), n-uint64(len(st)))))
+			}
+			st = append(st, sr.u64())
 		}
 		store[i] = st
 	}

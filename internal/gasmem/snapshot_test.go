@@ -96,27 +96,35 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 }
 
 // TestSnapshotRejectsHugeCounts: a short stream announcing 1<<32 free
-// extents or regions must fail on truncation without reserving what it
-// announces (64 GB and 32 GB of records).
+// extents or regions, or a node store as large as the node's capacity,
+// must fail on truncation without reserving what it announces (64 GB and
+// 32 GB of records, and a 1 GB store).
 func TestSnapshotRejectsHugeCounts(t *testing.T) {
-	g := New(4, 1<<20)
-	var buf bytes.Buffer
-	if err := g.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	const nodes = 4
 	// The header is magic, version, node count, capacity and next VA,
 	// then one used word per node; four empty free lists follow, then the
-	// region count.
-	freeAt := len(snapMagic) + 8*(4+g.nodes)
-	regionsAt := freeAt + 8*g.nodes
+	// region count, then each node's store length.
+	freeAt := len(snapMagic) + 8*(4+nodes)
+	regionsAt := freeAt + 8*nodes
+	storeAt := regionsAt + 8
 	for _, c := range []struct {
-		name string
-		at   int
-	}{{"free list", freeAt}, {"regions", regionsAt}} {
-		d := binary.LittleEndian.AppendUint64(append([]byte(nil), buf.Bytes()[:c.at]...), 1<<32)
+		name     string
+		capacity uint64
+		at       int
+		count    uint64
+	}{
+		{"free list", 1 << 20, freeAt, 1 << 32},
+		{"regions", 1 << 20, regionsAt, 1 << 32},
+		{"store", 1 << 30, storeAt, 1 << 30 / WordBytes},
+	} {
+		var buf bytes.Buffer
+		if err := New(nodes, c.capacity).Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		d := binary.LittleEndian.AppendUint64(append([]byte(nil), buf.Bytes()[:c.at]...), c.count)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := New(4, 1<<20).RestoreSnapshot(bytes.NewReader(d))
+		err := New(nodes, c.capacity).RestoreSnapshot(bytes.NewReader(d))
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("%s: got %v, want a truncation error", c.name, err)

@@ -33,6 +33,10 @@ type Actor interface {
 	// simulated time: it begins at env.Start() and occupies the actor
 	// for the cycles accumulated through env.Charge and the send
 	// intrinsics.
+	//
+	// env and m are valid only until OnMessage returns: the engine reuses
+	// both for the next event, so an actor that needs the message or its
+	// operands later must copy them.
 	OnMessage(env *Env, m *Message)
 }
 
@@ -289,6 +293,14 @@ type shard struct {
 	// disabled. Like rec, each shard records only events of actors it
 	// owns, so views need no locks.
 	trace *metrics.TraceView
+	// env and cur are the dispatch scratch processWindow hands to
+	// Actor.OnMessage: the environment, and the executing message copied
+	// out of the arena (sends during OnMessage may grow and reallocate
+	// it). Their addresses go to the Actor interface, so stack copies
+	// would move to the heap on every event; owned by the shard they cost
+	// nothing.
+	env Env
+	cur Message
 }
 
 // NewEngine builds an engine for machine m.
@@ -450,7 +462,7 @@ func (e *Engine) Post(t arch.Cycles, dst arch.NetworkID, kind uint8, event, cont
 			Kind: kind, SendAt: t, Deliver: t,
 		})
 	}
-	e.shards[e.shardOf(dst)].heap.push(m)
+	e.shards[e.shardOf(dst)].heap.push(&m)
 }
 
 // Run simulates until no messages remain, returning aggregate statistics.
@@ -629,7 +641,8 @@ func (e *Engine) runSequential() bool {
 // fires.
 func (s *shard) processWindow(horizon arch.Cycles) {
 	e := s.e
-	env := Env{e: e, shard: s}
+	s.env = Env{e: e, shard: s}
+	env := &s.env
 	h := &s.heap
 	for h.len() > 0 && h.topDeliver() < horizon {
 		if s.outMin != math.MaxInt64 {
@@ -736,9 +749,11 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 			continue
 		}
 		for {
-			// Copy out before executing: sends during OnMessage may grow
-			// (and reallocate) the arena backing pm.
-			m := *pm
+			// Copy out into the shard's scratch before executing: sends
+			// during OnMessage may grow (and reallocate) the arena
+			// backing pm.
+			m := &s.cur
+			*m = *pm
 			h.release(mi)
 			a := e.Actor(m.Dst)
 			if a == nil {
@@ -752,7 +767,7 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 				// during OnMessage.
 				env.psrc, env.pseq = m.Src, m.Seq
 			}
-			a.OnMessage(&env, &m)
+			a.OnMessage(env, m)
 			st.freeAt = m.Deliver + env.charged
 			st.busy += int64(env.charged)
 			st.used = true
@@ -833,7 +848,7 @@ func (s *shard) collect(parity int) {
 			continue
 		}
 		for i := range box {
-			s.heap.push(box[i])
+			s.heap.push(&box[i])
 		}
 		other.outbox[parity][s.idx] = box[:0]
 	}
@@ -1020,7 +1035,7 @@ func dramKind(k uint8) bool {
 // or this shard's outbox.
 func (s *shard) route(m *Message, dstShard int) {
 	if dstShard == s.idx {
-		s.heap.push(*m)
+		s.heap.push(m)
 	} else {
 		s.outbox[s.parity][dstShard] = append(s.outbox[s.parity][dstShard], *m)
 		if m.Deliver < s.outMin {

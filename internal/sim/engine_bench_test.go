@@ -58,6 +58,7 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	const hops = 20000
 	for _, shards := range benchShards(2) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
 			var events int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -108,6 +109,7 @@ func BenchmarkEngineAllToAllHotSpot(b *testing.B) {
 	)
 	for _, shards := range benchShards(nodes) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
 			var events int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -164,6 +166,7 @@ func (c *chainActor) OnMessage(env *Env, m *Message) {
 func BenchmarkEngineSparseLane(b *testing.B) {
 	for _, shards := range benchShards(16) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
 			var events int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -249,6 +252,7 @@ func BenchmarkEngineCrossNodeStorm(b *testing.B) {
 	)
 	for _, shards := range benchShards(nodes) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
 			var events int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -310,7 +314,7 @@ func BenchmarkMsgQueue(b *testing.B) {
 	var k int
 	push := func(now arch.Cycles) {
 		s := src[k%table]
-		h.push(Message{Deliver: now + delay[k%table], Src: s, Seq: seq[s]})
+		h.push(&Message{Deliver: now + delay[k%table], Src: s, Seq: seq[s]})
 		seq[s]++
 		k++
 	}
@@ -324,6 +328,7 @@ func BenchmarkMsgQueue(b *testing.B) {
 		h.release(i)
 		push(now)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		i := h.popIdx()

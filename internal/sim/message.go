@@ -133,19 +133,23 @@ type msgHeap struct {
 
 func (h *msgHeap) len() int { return h.n }
 
-func (h *msgHeap) alloc(m Message) int32 {
+// alloc copies *m into a free arena slot and returns the slot's index.
+// Taking a pointer lets a send copy its message once, from the sender's
+// stack straight into the arena.
+func (h *msgHeap) alloc(m *Message) int32 {
 	if n := len(h.free); n > 0 {
 		i := h.free[n-1]
 		h.free = h.free[:n-1]
-		h.arena[i] = m
+		h.arena[i] = *m
 		return i
 	}
-	h.arena = append(h.arena, m)
+	h.arena = append(h.arena, *m)
 	h.next = append(h.next, -1)
 	return int32(len(h.arena) - 1)
 }
 
-func (h *msgHeap) push(m Message) { h.pushIdx(h.alloc(m)) }
+// push queues a copy of *m.
+func (h *msgHeap) push(m *Message) { h.pushIdx(h.alloc(m)) }
 
 // pushIdx queues an already-allocated arena slot, reading the ordering key
 // from the arena. The engine uses it to move parked messages between the

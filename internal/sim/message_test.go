@@ -154,7 +154,7 @@ func (q *queueDriver) push(class, v, src byte) {
 	q.ids++
 	// Bit-reversed ids make Seq unique but unrelated to push order.
 	k := refKey{d: d, src: arch.NetworkID(src % 4), seq: bits.Reverse64(q.ids), id: q.ids}
-	q.h.push(Message{Deliver: k.d, Src: k.src, Seq: k.seq, Event: k.id})
+	q.h.push(&Message{Deliver: k.d, Src: k.src, Seq: k.seq, Event: k.id})
 	q.refInsert(k)
 }
 

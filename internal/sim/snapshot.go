@@ -669,7 +669,7 @@ func (e *Engine) Restore(r io.Reader) error {
 		if len(a.waitq) > 0 {
 			h := &e.shards[e.shardOf(arch.NetworkID(a.id))].heap
 			for i := range a.waitq {
-				st.waitqPush(h.alloc(a.waitq[i]))
+				st.waitqPush(h.alloc(&a.waitq[i]))
 			}
 		}
 	}
@@ -678,7 +678,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	// destination.
 	for i := range snap.heapMsgs {
 		m := &snap.heapMsgs[i]
-		e.shards[e.shardOf(m.Dst)].heap.push(*m)
+		e.shards[e.shardOf(m.Dst)].heap.push(m)
 		if m.retry {
 			e.state[m.Dst].floating++
 		}

@@ -163,6 +163,12 @@ type Lane struct {
 	// timerGen is the lane-wide monotonic timer generation; each
 	// ArmTimeout takes the next value, making elder timers stale.
 	timerGen uint64
+	// ctx is the Ctx OnMessage hands to the handler, overwritten per
+	// event. A lane executes one event at a time and OnMessage never
+	// re-enters on the same lane, so one per lane suffices; a Ctx built
+	// on OnMessage's stack would move to the heap on every event, since
+	// its address goes to a func-valued handler.
+	ctx Ctx
 }
 
 // OnMessage implements sim.Actor.
@@ -218,8 +224,8 @@ func (l *Lane) OnMessage(env *sim.Env, m *sim.Message) {
 		th = l.threads[tid]
 	}
 	env.Charge(l.p.M.CostEventDispatch)
-	c := Ctx{env: env, lane: l, th: th, msg: m, label: label}
-	l.p.handlers[label](&c)
+	l.ctx = Ctx{env: env, lane: l, th: th, msg: m, label: label}
+	l.p.handlers[label](&l.ctx)
 	if th.terminated {
 		env.Charge(l.p.M.CostThreadDealloc)
 		if tv != nil {
@@ -297,7 +303,10 @@ func (l *Lane) SlotPeek(slot int) any {
 	return l.slots[slot]
 }
 
-// Ctx is the execution context of one event.
+// Ctx is the execution context of one event. A handler's *Ctx, and the
+// slices and message contents it exposes, are valid only until the
+// handler returns: the lane reuses the Ctx, and the engine the message,
+// for the next event.
 type Ctx struct {
 	env   *sim.Env
 	lane  *Lane
@@ -333,7 +342,9 @@ func (c *Ctx) Op(i int) uint64 {
 	return c.msg.Ops[i]
 }
 
-// Ops returns all operands of the triggering message.
+// Ops returns all operands of the triggering message. The slice aliases
+// the message and is valid only until the handler returns; copy what
+// must outlive the event.
 func (c *Ctx) Ops() []uint64 { return c.msg.Ops[:c.msg.NOps] }
 
 // Cont returns the continuation word of the triggering message (CCONT).

@@ -18,6 +18,14 @@ go build ./...
 go test ./...
 go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/telemetry/
 
+# Allocation guards: once warm, executing an event and making its send
+# must not touch the Go heap (TestDispatchAllocs on both engine drivers,
+# TestLaneDispatchAllocs through a udweave lane). The race detector
+# allocates on its own, so both tests build only without -race and the
+# race step above skips them. -count=1 keeps a cached go test ./...
+# result from hiding a regression.
+go test -run 'DispatchAllocs$' -count=1 ./internal/sim/ ./internal/udweave/
+
 # Event-queue fuzz smoke: the calendar queue's ring, far heap, slide-back
 # and compaction paths are checked against a sorted reference on
 # coverage-guided operation sequences. The checked-in corpus runs in every
