@@ -5,10 +5,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 
@@ -24,7 +21,6 @@ func main() {
 	shards := flag.Int("shards", 0, "simulator host parallelism (0 = auto)")
 	markdown := flag.Bool("markdown", false, "emit GitHub-markdown tables")
 	critpath := flag.Bool("critpath", false, "extract the causal critical path per run and add the crit% column")
-	coalesce := flag.Bool("coalesce", false, "opt into the coalescing shuffle (ingestion is map-only, so this is a no-op pass-through)")
 	progress := flag.Bool("progress", false, "print per-configuration progress lines to stderr while the sweep runs")
 	flag.Parse()
 
@@ -42,26 +38,12 @@ func main() {
 	}
 	tables, err := harness.Fig10Ingestion(harness.Fig10Options{
 		BaseRecords: *records, Multipliers: multipliers, Nodes: ns,
-		BlockBytes: *block, Seed: *seed, Shards: *shards,
-		CritPath: *critpath, Coalesce: *coalesce,
-		Progress: progressDest(*progress),
+		BlockBytes: *block, Seed: *seed,
+		SweepOptions: harness.SweepOptions{Shards: *shards, CritPath: *critpath,
+			Progress: harness.ProgressWriter(*progress)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tables {
-		if *markdown {
-			fmt.Print(t.Markdown())
-		} else {
-			fmt.Println(t.Format())
-		}
-	}
-}
-
-// progressDest maps the -progress flag to the sweep's progress writer.
-func progressDest(on bool) io.Writer {
-	if !on {
-		return nil
-	}
-	return os.Stderr
+	harness.PrintTables(*markdown, tables...)
 }

@@ -4,7 +4,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 
 	"updown/internal/arch"
@@ -26,14 +25,10 @@ func main() {
 	}
 	tb, err := harness.Fig11PartialMatch(harness.Fig11Options{
 		Records: *records, Interarrival: arch.Cycles(*inter),
-		LaneCounts: ls, Seed: *seed, Shards: *shards,
+		LaneCounts: ls, Seed: *seed, SweepOptions: harness.SweepOptions{Shards: *shards},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *markdown {
-		fmt.Print(tb.Markdown())
-	} else {
-		fmt.Println(tb.Format())
-	}
+	harness.PrintTables(*markdown, tb)
 }

@@ -6,10 +6,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"os"
 
 	"updown/internal/harness"
 )
@@ -39,26 +36,12 @@ func main() {
 	}
 	tables, err := harness.Fig12Placement(harness.Fig12Options{
 		ComputeNodes: *compute, MemNodes: ms, Scale: *scale,
-		DRAMBytesPerCycle: *bw, Seed: *seed, Shards: *shards,
-		CritPath: *critpath, Reps: ks,
-		Progress: progressDest(*progress),
+		DRAMBytesPerCycle: *bw, Seed: *seed, Reps: ks,
+		SweepOptions: harness.SweepOptions{Shards: *shards, CritPath: *critpath,
+			Progress: harness.ProgressWriter(*progress)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tables {
-		if *markdown {
-			fmt.Print(t.Markdown())
-		} else {
-			fmt.Println(t.Format())
-		}
-	}
-}
-
-// progressDest maps the -progress flag to the sweep's progress writer.
-func progressDest(on bool) io.Writer {
-	if !on {
-		return nil
-	}
-	return os.Stderr
+	harness.PrintTables(*markdown, tables...)
 }

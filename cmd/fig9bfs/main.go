@@ -5,9 +5,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -36,36 +34,23 @@ func main() {
 	}
 	tables, err := harness.Fig9BFS(harness.Fig9Options{
 		Scale: *scale, Nodes: ns, Presets: strings.Split(*presets, ","),
-		Seed: *seed, Shards: *shards, Validate: *validate,
-		CritPath: *critpath, Coalesce: *coalesce,
-		Progress: progressDest(*progress),
+		Seed: *seed, Validate: *validate, Coalesce: *coalesce,
+		SweepOptions: harness.SweepOptions{Shards: *shards, CritPath: *critpath,
+			Progress: harness.ProgressWriter(*progress)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tables {
-		if *markdown {
-			fmt.Print(t.Markdown())
-		} else {
-			fmt.Println(t.Format())
-		}
-	}
+	harness.PrintTables(*markdown, tables...)
 	if *abs {
-		p, _ := graph.PresetByName("rmat")
-		g := graph.FromEdges(1<<*scale, p.Build(*scale, *seed), graph.BuildOptions{
-			Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+		g, err := graph.Generate("rmat", *scale, *seed, false)
+		if err != nil {
+			log.Fatal(err)
+		}
 		start := time.Now()
 		baseline.BFSParallel(g, 28, 0)
 		el := time.Since(start).Seconds()
 		fmt.Printf("host multicore baseline: %d edges in %.4fs = %.4f GTEPS\n",
 			g.NumEdges(), el, float64(g.NumEdges())/el/1e9)
 	}
-}
-
-// progressDest maps the -progress flag to the sweep's progress writer.
-func progressDest(on bool) io.Writer {
-	if !on {
-		return nil
-	}
-	return os.Stderr
 }

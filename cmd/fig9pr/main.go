@@ -10,9 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -46,40 +44,28 @@ func main() {
 	}
 	tables, err := harness.Fig9PageRank(harness.Fig9Options{
 		Scale: *scale, Nodes: ns, Presets: strings.Split(*presets, ","),
-		Iterations: *iters, Seed: *seed, Shards: *shards, Validate: *validate,
-		CritPath: *critpath, Coalesce: *coalesce, Combine: *combine,
-		Progress: progressDest(*progress),
+		Iterations: *iters, Seed: *seed, Validate: *validate,
+		Coalesce: *coalesce, Combine: *combine,
+		SweepOptions: harness.SweepOptions{Shards: *shards, CritPath: *critpath,
+			Progress: harness.ProgressWriter(*progress)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tables {
-		if *markdown {
-			fmt.Print(t.Markdown())
-		} else {
-			fmt.Println(t.Format())
-		}
-	}
+	harness.PrintTables(*markdown, tables...)
 	if *abs {
-		reportHostPR(*scale, *seed, *iters)
+		// -iters 0 runs one iteration, as the simulated sweep does.
+		reportHostPR(*scale, *seed, max(*iters, 1))
 	}
-	_ = os.Stdout
-}
-
-// progressDest maps the -progress flag to the sweep's progress writer.
-func progressDest(on bool) io.Writer {
-	if !on {
-		return nil
-	}
-	return os.Stderr
 }
 
 // reportHostPR measures the conventional-multicore comparator, the stand-in
 // for the paper's Perlmutter reference (Section 5.2.1).
 func reportHostPR(scale int, seed uint64, iters int) {
-	p, _ := graph.PresetByName("rmat")
-	g := graph.FromEdges(1<<scale, p.Build(scale, seed), graph.BuildOptions{
-		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	g, err := graph.Generate("rmat", scale, seed, false)
+	if err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
 	baseline.PageRankParallel(g, iters, 0)
 	el := time.Since(start).Seconds()

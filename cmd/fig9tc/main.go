@@ -4,10 +4,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"os"
 	"strings"
 
 	"updown/internal/harness"
@@ -36,26 +33,12 @@ func main() {
 	}
 	tables, err := harness.Fig9TC(harness.Fig9Options{
 		Scale: *scale, Nodes: ns, Presets: strings.Split(*presets, ","),
-		Seed: *seed, Shards: *shards, Validate: *validate,
-		CritPath: *critpath, Coalesce: *coalesce, Combine: *combine,
-		Progress: progressDest(*progress),
+		Seed: *seed, Validate: *validate, Coalesce: *coalesce, Combine: *combine,
+		SweepOptions: harness.SweepOptions{Shards: *shards, CritPath: *critpath,
+			Progress: harness.ProgressWriter(*progress)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tables {
-		if *markdown {
-			fmt.Print(t.Markdown())
-		} else {
-			fmt.Println(t.Format())
-		}
-	}
-}
-
-// progressDest maps the -progress flag to the sweep's progress writer.
-func progressDest(on bool) io.Writer {
-	if !on {
-		return nil
-	}
-	return os.Stderr
+	harness.PrintTables(*markdown, tables...)
 }

@@ -20,10 +20,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 
@@ -60,16 +57,12 @@ func main() {
 		tb, err := harness.ChaosReplicated(harness.ChaosRepOptions{
 			Scale: *scale, Rep: *rep, Shards: *shards, Seed: *seed,
 			Spare: *spare, Apps: sel,
-			Progress: progressDest(*progress),
+			Progress: harness.ProgressWriter(*progress),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *markdown {
-			fmt.Print(tb.Markdown())
-		} else {
-			fmt.Print(tb.Format())
-		}
+		harness.PrintTables(*markdown, tb)
 		return
 	}
 
@@ -93,22 +86,10 @@ func main() {
 		DupProb: *dup, DelayProb: *delay, DelayCycles: arch.Cycles(*delayCycles),
 		Seed: *seed, FaultSeed: *faultSeed, Shards: *shards,
 		FailStop: *failstop, CritPath: *critpath,
-		Progress: progressDest(*progress),
+		Progress: harness.ProgressWriter(*progress),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *markdown {
-		fmt.Print(tb.Markdown())
-	} else {
-		fmt.Print(tb.Format())
-	}
-}
-
-// progressDest maps the -progress flag to the sweep's progress writer.
-func progressDest(on bool) io.Writer {
-	if !on {
-		return nil
-	}
-	return os.Stderr
+	harness.PrintTables(*markdown, tb)
 }

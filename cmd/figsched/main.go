@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strconv"
@@ -45,15 +44,11 @@ func main() {
 		}
 		gaps = append(gaps, v)
 	}
-	var prog io.Writer
-	if *progress {
-		prog = os.Stderr
-	}
 	res, err := harness.FigSched(harness.FigSchedOptions{
 		Nodes: *nodes, AccelsPerNode: *accels, LanesPerAccel: *lanes,
 		Scale: *scale, Jobs: *jobs, Loads: gaps, Seed: *seed,
 		Shards: *shards, Quantum: arch.Cycles(*quantum),
-		Verify: *verify, Progress: prog,
+		Verify: *verify, Progress: harness.ProgressWriter(*progress),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strconv"
@@ -47,15 +46,11 @@ func main() {
 		}
 		gapList = append(gapList, v)
 	}
-	var prog io.Writer
-	if *progress {
-		prog = os.Stderr
-	}
 	res, err := harness.FigServe(harness.FigServeOptions{
 		Nodes: *nodes, AccelsPerNode: *accels, LanesPerAccel: *lanes,
 		Scale: *scale, Queries: *queries, Gaps: gapList, Seed: *seed,
 		Shards: *shards, Quantum: updown.Cycles(*quantum),
-		FuseWindow: updown.Cycles(*fuse), Slots: *slots, Progress: prog,
+		FuseWindow: updown.Cycles(*fuse), Slots: *slots, Progress: harness.ProgressWriter(*progress),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -273,8 +273,9 @@ func main() {
 			partial := runPartial(err)
 			report(m, stats, a.Elapsed())
 			if !partial {
-				fmt.Printf("updates: %d (%.4f GUPS)\n", edges*uint64(*iters),
-					float64(edges*uint64(*iters))/m.Seconds(a.Elapsed())/1e9)
+				updates := edges * uint64(a.Iterations())
+				fmt.Printf("updates: %d (%.4f GUPS)\n", updates,
+					float64(updates)/m.Seconds(a.Elapsed())/1e9)
 				resTotals = a.ResilienceTotals()
 				if *checksum {
 					vals := make([]uint64, 0, len(a.Values()))
@@ -608,14 +609,9 @@ func loadGraph(gvPath, nlPath, preset string, scale int, seed uint64, undirected
 		must(err)
 		return g
 	}
-	p, err := graph.PresetByName(preset)
+	g, err := graph.Generate(preset, scale, seed, undirected)
 	must(err)
-	return graph.FromEdges(1<<scale, p.Build(scale, seed), graph.BuildOptions{
-		Undirected:    p.Undirected || undirected,
-		Dedup:         true,
-		DropSelfLoops: true,
-		SortNeighbors: true,
-	})
+	return g
 }
 
 func mustLoad(m *updown.Machine, s *graph.SplitGraph, pl graph.Placement) *graph.DeviceGraph {

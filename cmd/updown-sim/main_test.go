@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -139,5 +142,65 @@ func TestCheckWarmStartMeta(t *testing.T) {
 	f.Rep = 0
 	if err := checkWarmStartMeta(&ws, f); err != nil {
 		t.Errorf("rep 0 vs 1 rejected: %v", err)
+	}
+}
+
+// TestHelperCLI runs main on the arguments after "--" when the test binary
+// is re-executed by runCLI; in a normal test run it does nothing.
+func TestHelperCLI(t *testing.T) {
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"updown-sim"}, os.Args[i+1:]...)
+			main()
+			os.Exit(0)
+		}
+	}
+}
+
+// runCLI runs updown-sim with args in a child process and returns its
+// combined output and exit status.
+func runCLI(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestHelperCLI$", "--"}, args...)...)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return string(out), ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+// TestCLIInputErrors: bad -scale and -iters values end in a one-line error
+// and exit status 1, never a panic, and -iters 0 runs and reports exactly
+// what -iters 1 does (one iteration).
+func TestCLIInputErrors(t *testing.T) {
+	pr := []string{"-app", "pr", "-scale", "7", "-nodes", "1", "-accel", "2", "-shards", "1"}
+	updates := func(out string) string {
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "updates:") {
+				return l
+			}
+		}
+		return ""
+	}
+	one, code := runCLI(t, append(pr, "-iters", "1")...)
+	if code != 0 || updates(one) == "" {
+		t.Fatalf("-iters 1: exit %d\n%s", code, one)
+	}
+	zero, code := runCLI(t, append(pr, "-iters", "0")...)
+	if code != 0 || updates(zero) != updates(one) {
+		t.Errorf("-iters 0: exit %d, %q, want %q", code, updates(zero), updates(one))
+	}
+	for _, args := range [][]string{
+		append(pr, "-iters", "-1"),
+		{"-app", "bfs", "-scale", "-1", "-nodes", "1", "-accel", "2"},
+		{"-app", "tc", "-scale", "70", "-nodes", "1", "-accel", "2"},
+	} {
+		out, code := runCLI(t, args...)
+		if code != 1 || strings.Contains(out, "panic:") {
+			t.Errorf("%v: exit %d, want 1 without a panic\n%s", args, code, out)
+		}
 	}
 }

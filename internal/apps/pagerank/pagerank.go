@@ -31,8 +31,8 @@ const Damping = 0.85
 type Config struct {
 	// Lanes is the KVMSR lane set (default: the whole machine).
 	Lanes kvmsr.LaneSet
-	// Iterations of power iteration (default 1, the unit the paper's
-	// strong-scaling measurements time).
+	// Iterations of power iteration (0 = 1, the unit the paper's
+	// strong-scaling measurements time; negative is an error).
 	Iterations int
 	// MaxOutstanding caps in-flight map tasks per lane.
 	MaxOutstanding int
@@ -118,7 +118,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Lanes.Count == 0 {
 		cfg.Lanes = kvmsr.AllLanes(m.Arch)
 	}
-	if cfg.Iterations <= 0 {
+	if cfg.Iterations < 0 {
+		return nil, fmt.Errorf("pagerank: negative iteration count %d", cfg.Iterations)
+	}
+	if cfg.Iterations == 0 {
 		cfg.Iterations = 1
 	}
 	a := &App{m: m, dg: dg, cfg: cfg}
@@ -227,6 +230,9 @@ func (a *App) Run() (updown.Stats, error) {
 	a.Post()
 	return a.m.Run()
 }
+
+// Iterations returns the number of power iterations the app runs.
+func (a *App) Iterations() int { return a.cfg.Iterations }
 
 // Elapsed returns the simulated cycles of the measured region.
 func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }

@@ -124,3 +124,34 @@ func TestPageRankScalesAndStaysCorrect(t *testing.T) {
 		t.Fatalf("2048 lanes (%d cycles) not faster than 64 lanes (%d cycles)", t2048, t64)
 	}
 }
+
+// TestPageRankIterationCount: zero iterations means one, which
+// Iterations reports so callers count the updates actually run; a
+// negative count is rejected instead of silently running one.
+func TestPageRankIterationCount(t *testing.T) {
+	g := graph.FromEdges(256, graph.DefaultRMAT(8, 21), graph.BuildOptions{
+		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	for _, tc := range []struct{ iters, want int }{{-1, 0}, {0, 1}, {1, 1}, {3, 3}} {
+		m, err := updown.New(updown.Config{Nodes: 1, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 16), graph.DefaultPlacement(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := pagerank.New(m, dg, pagerank.Config{Iterations: tc.iters})
+		if tc.want == 0 {
+			if err == nil {
+				t.Errorf("iterations %d accepted", tc.iters)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("iterations %d: %v", tc.iters, err)
+		}
+		if got := app.Iterations(); got != tc.want {
+			t.Errorf("iterations %d: Iterations() = %d, want %d", tc.iters, got, tc.want)
+		}
+	}
+}

@@ -147,6 +147,35 @@ var Presets = []Preset{
 	}, Undirected: true},
 }
 
+// MaxScale is the largest generator scale: vertex IDs are uint32.
+const MaxScale = 32
+
+// ScaleError reports a generator scale outside [0, MaxScale].
+type ScaleError struct{ Scale int }
+
+func (e *ScaleError) Error() string {
+	return fmt.Sprintf("graph: scale %d out of range [0, %d]", e.Scale, MaxScale)
+}
+
+// Generate builds the named preset at 2^scale vertices as a CSR graph with
+// duplicate edges and self loops removed and adjacency lists sorted. It is
+// undirected when the preset is, or when forceUndirected is set.
+func Generate(preset string, scale int, seed uint64, forceUndirected bool) (*Graph, error) {
+	if scale < 0 || scale > MaxScale {
+		return nil, &ScaleError{Scale: scale}
+	}
+	p, err := PresetByName(preset)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(1<<scale, p.Build(scale, seed), BuildOptions{
+		Undirected:    p.Undirected || forceUndirected,
+		Dedup:         true,
+		DropSelfLoops: true,
+		SortNeighbors: true,
+	}), nil
+}
+
 // PresetByName finds a preset.
 func PresetByName(name string) (Preset, error) {
 	for _, p := range Presets {

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,6 +120,45 @@ func TestPresets(t *testing.T) {
 	}
 	if p, err := PresetByName("twitter"); err != nil || p.Name != "twitter" {
 		t.Error("lookup failed")
+	}
+}
+
+// TestGenerate: the preset builder matches FromEdges over the preset's
+// edges with the harness options, forces symmetry on request, and rejects
+// an unknown preset and every scale outside [0, MaxScale] with a typed
+// error naming the value (1<<-1 panics, 1<<70 is 0).
+func TestGenerate(t *testing.T) {
+	g, err := Generate("rmat", 8, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FromEdges(256, DefaultRMAT(8, 3), BuildOptions{Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	if g.N != want.N || g.NumEdges() != want.NumEdges() {
+		t.Fatalf("rmat s8: %d vertices %d edges, want %d %d", g.N, g.NumEdges(), want.N, want.NumEdges())
+	}
+	for i := range want.Neigh {
+		if g.Neigh[i] != want.Neigh[i] {
+			t.Fatalf("rmat s8: neighbor %d = %d, want %d", i, g.Neigh[i], want.Neigh[i])
+		}
+	}
+	u, err := Generate("rmat", 8, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.NumEdges() <= g.NumEdges() {
+		t.Errorf("forced undirected: %d edges, directed %d", u.NumEdges(), g.NumEdges())
+	}
+	if _, err := Generate("nope", 8, 3, false); err == nil {
+		t.Error("unknown preset accepted")
+	}
+	for _, scale := range []int{-1, 33, 70} {
+		_, err := Generate("rmat", scale, 3, false)
+		var se *ScaleError
+		if !errors.As(err, &se) || se.Scale != scale {
+			t.Errorf("scale %d: err = %v, want *ScaleError", scale, err)
+		} else if !strings.Contains(err.Error(), fmt.Sprint(scale)) {
+			t.Errorf("scale %d: error %q does not name the value", scale, err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"updown"
@@ -103,70 +102,32 @@ type ChaosTable struct {
 	Notes    []string
 }
 
+// chaosColumns lists the chaos table's columns; crit% is shown when any
+// row was traced.
+var chaosColumns = []column[ChaosRow]{
+	{"drop", "", -10, ".3f", func(r *ChaosRow) any { return r.DropRate }, nil},
+	{"cycles", "", 14, "d", func(r *ChaosRow) any { return r.Cycles }, nil},
+	{"goodput-GTEPS", "goodput GTEPS", 14, ".4f", func(r *ChaosRow) any { return r.Goodput }, nil},
+	{"recovery", "", 12, "d", func(r *ChaosRow) any { return r.Recovery }, nil},
+	{"dropped", "", 10, "d", func(r *ChaosRow) any { return r.Dropped }, nil},
+	{"dupped", "", 10, "d", func(r *ChaosRow) any { return r.Dupped }, nil},
+	{"retries", "", 10, "d", func(r *ChaosRow) any { return r.Retries }, nil},
+	{"dup-drops", "", 10, "d", func(r *ChaosRow) any { return r.DupDrops }, nil},
+	{"rekicks", "", 10, "d", func(r *ChaosRow) any { return r.Rekicks }, nil},
+	{"crit%", "", 8, ".2f", func(r *ChaosRow) any { return 100 * r.CritPct },
+		func(r *ChaosRow) bool { return r.CritPct != 0 }},
+}
+
+const chaosTitle = "Chaos sweep: resilient BFS under message faults — "
+
 // Format renders the table as aligned text.
 func (t *ChaosTable) Format() string {
-	crit := false
-	for _, r := range t.Rows {
-		if r.CritPct != 0 {
-			crit = true
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos sweep: resilient BFS under message faults — %s\n", t.Workload)
-	fmt.Fprintf(&b, "%-10s %14s %14s %12s %10s %10s %10s %10s %10s", "drop", "cycles",
-		"goodput-GTEPS", "recovery", "dropped", "dupped", "retries", "dup-drops", "rekicks")
-	if crit {
-		fmt.Fprintf(&b, " %8s", "crit%")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-10.3f %14d %14.4f %12d %10d %10d %10d %10d %10d",
-			r.DropRate, r.Cycles, r.Goodput, r.Recovery, r.Dropped, r.Dupped,
-			r.Retries, r.DupDrops, r.Rekicks)
-		if crit {
-			fmt.Fprintf(&b, " %8.2f", 100*r.CritPct)
-		}
-		b.WriteByte('\n')
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
+	return formatText(chaosTitle+t.Workload, chaosColumns, t.Rows, t.Notes)
 }
 
 // Markdown renders the table as a GitHub table (EXPERIMENTS.md).
 func (t *ChaosTable) Markdown() string {
-	crit := false
-	for _, r := range t.Rows {
-		if r.CritPct != 0 {
-			crit = true
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "**Chaos sweep: resilient BFS under message faults — %s**\n\n", t.Workload)
-	b.WriteString("| drop | cycles | goodput GTEPS | recovery | dropped | dupped | retries | dup-drops | rekicks |")
-	if crit {
-		b.WriteString(" crit% |")
-	}
-	b.WriteByte('\n')
-	b.WriteString("|---|---|---|---|---|---|---|---|---|")
-	if crit {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %.3f | %d | %.4f | %d | %d | %d | %d | %d | %d |",
-			r.DropRate, r.Cycles, r.Goodput, r.Recovery, r.Dropped, r.Dupped,
-			r.Retries, r.DupDrops, r.Rekicks)
-		if crit {
-			fmt.Fprintf(&b, " %.2f |", 100*r.CritPct)
-		}
-		b.WriteByte('\n')
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*note: %s*\n", n)
-	}
-	return b.String()
+	return formatMarkdown(chaosTitle+t.Workload, chaosColumns, t.Rows, t.Notes)
 }
 
 // ChaosBFS runs the chaos sweep: BFS with the resilient shuffle at every
@@ -176,13 +137,10 @@ func (t *ChaosTable) Markdown() string {
 // and protocol-counter columns.
 func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 	opt.defaults()
-	p, err := graph.PresetByName("rmat")
+	g, err := graph.Generate("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
-	g := graph.FromEdges(1<<opt.Scale, p.Build(opt.Scale, opt.Seed), graph.BuildOptions{
-		Dedup: true, DropSelfLoops: true, SortNeighbors: true,
-	})
 	split := graph.Split(g, 256)
 	const root = 28
 
@@ -277,9 +235,7 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 		if len(tb.Rows) > 0 {
 			row.Recovery = row.Cycles - tb.Rows[0].Cycles
 		}
-		if m.Trace != nil && m.Trace.CausalOn() {
-			row.CritPct = m.Trace.CriticalPath().CritPct()
-		}
+		row.CritPct = critPct(m)
 		tb.Rows = append(tb.Rows, row)
 	}
 	tb.Notes = append(tb.Notes,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"updown"
 	"updown/internal/apps/bfs"
@@ -114,41 +113,33 @@ type ChaosRepTable struct {
 	Notes    []string
 }
 
+// chaosRepColumns lists the replicated chaos table's columns.
+var chaosRepColumns = []column[ChaosRepRow]{
+	{"app", "", -10, "s", func(r *ChaosRepRow) any { return r.App }, nil},
+	{"clean-cyc", "clean cyc", 12, "d", func(r *ChaosRepRow) any { return r.CleanCycles }, nil},
+	{"fault-cyc", "fault cyc", 12, "d", func(r *ChaosRepRow) any { return r.FaultCycles }, nil},
+	{"tax%", "", 8, ".2f", func(r *ChaosRepRow) any { return r.TaxPct }, nil},
+	{"failstop@", "", 12, "d", func(r *ChaosRepRow) any { return r.FailStopAt }, nil},
+	{"failover", "failovers", 9, "d", func(r *ChaosRepRow) any { return r.Failovers }, nil},
+	{"fallback", "fallback reads", 10, "d", func(r *ChaosRepRow) any { return r.FallbackReads }, nil},
+	{"deadltr", "dead letters", 8, "d", func(r *ChaosRepRow) any { return r.DeadLetters }, nil},
+	{"hints", "", 7, "d", func(r *ChaosRepRow) any { return r.Hints }, nil},
+	{"hint-words", "hint words", 10, "d", func(r *ChaosRepRow) any { return r.HintWords }, nil},
+	{"repaired", "", 9, "d", func(r *ChaosRepRow) any { return r.RepairedWords }, nil},
+	{"repl", "", -22, "s", func(r *ChaosRepRow) any { return r.Repl }, nil},
+	{"match", "", 0, "s", func(r *ChaosRepRow) any { return r.Match }, nil},
+}
+
+const chaosRepTitle = "Replicated-memory chaos: mid-run fail-stop of a data node — "
+
 // Format renders the table as aligned text.
 func (t *ChaosRepTable) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Replicated-memory chaos: mid-run fail-stop of a data node — %s\n", t.Workload)
-	fmt.Fprintf(&b, "%-10s %12s %12s %8s %12s %9s %10s %8s %7s %10s %9s %-22s %s\n",
-		"app", "clean-cyc", "fault-cyc", "tax%", "failstop@", "failover",
-		"fallback", "deadltr", "hints", "hint-words", "repaired", "repl", "match")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-10s %12d %12d %8.2f %12d %9d %10d %8d %7d %10d %9d %-22s %s\n",
-			r.App, r.CleanCycles, r.FaultCycles, r.TaxPct, r.FailStopAt,
-			r.Failovers, r.FallbackReads, r.DeadLetters, r.Hints, r.HintWords,
-			r.RepairedWords, r.Repl, r.Match)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
+	return formatText(chaosRepTitle+t.Workload, chaosRepColumns, t.Rows, t.Notes)
 }
 
 // Markdown renders the table as a GitHub table (EXPERIMENTS.md).
 func (t *ChaosRepTable) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**Replicated-memory chaos: mid-run fail-stop of a data node — %s**\n\n", t.Workload)
-	b.WriteString("| app | clean cyc | fault cyc | tax% | failstop@ | failovers | fallback reads | dead letters | hints | hint words | repaired | repl | match |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %d | %d | %d | %d | %d | %d | %d | %s | %s |\n",
-			r.App, r.CleanCycles, r.FaultCycles, r.TaxPct, r.FailStopAt,
-			r.Failovers, r.FallbackReads, r.DeadLetters, r.Hints, r.HintWords,
-			r.RepairedWords, r.Repl, r.Match)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*note: %s*\n", n)
-	}
-	return b.String()
+	return formatMarkdown(chaosRepTitle+t.Workload, chaosRepColumns, t.Rows, t.Notes)
 }
 
 // chaosRepOutcome is what one run of one workload produced.
@@ -161,9 +152,9 @@ type chaosRepOutcome struct {
 	total   uint64    // tc wedge-closure total
 }
 
-// chaosRepRun builds a machine and runs one workload on the fixed
+// chaosRepRun builds a machine and runs one workload over g on the fixed
 // replicated chaos topology. failAt == 0 means a fault-free run.
-func chaosRepRun(opt ChaosRepOptions, app string, failAt arch.Cycles) (*chaosRepOutcome, error) {
+func chaosRepRun(opt ChaosRepOptions, g *graph.Graph, app string, failAt arch.Cycles) (*chaosRepOutcome, error) {
 	ar := arch.DefaultMachine(chaosRepMachNodes)
 	var plan *fault.Plan
 	if failAt > 0 {
@@ -184,13 +175,6 @@ func chaosRepRun(opt ChaosRepOptions, app string, failAt arch.Cycles) (*chaosRep
 	// 4 KiB blocks (not the 32 KiB default) so chaos-scale graphs still
 	// stripe across all four data nodes — the victim must carry data.
 	pl := graph.Placement{FirstNode: 0, NRNodes: chaosRepDataNodes, BlockBytes: 4 << 10}
-	p, err := graph.PresetByName("rmat")
-	if err != nil {
-		return nil, err
-	}
-	g := graph.FromEdges(1<<opt.Scale, p.Build(opt.Scale, opt.Seed), graph.BuildOptions{
-		Dedup: true, DropSelfLoops: true, SortNeighbors: true,
-	})
 	out := &chaosRepOutcome{m: m}
 	switch app {
 	case "bfs":
@@ -290,6 +274,10 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 	if opt.Rep < 2 {
 		return nil, fmt.Errorf("chaosrep: replication factor %d, need >= 2 to survive a fail-stop", opt.Rep)
 	}
+	g, err := graph.Generate("rmat", opt.Scale, opt.Seed, false)
+	if err != nil {
+		return nil, err
+	}
 	heal := "in place"
 	if opt.Spare {
 		heal = fmt.Sprintf("onto spare node %d", chaosRepSpare)
@@ -300,13 +288,13 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 	}
 	for _, app := range opt.Apps {
 		progressf(opt.Progress, "chaosrep %s: clean run", app)
-		clean, err := chaosRepRun(opt, app, 0)
+		clean, err := chaosRepRun(opt, g, app, 0)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s clean: %w", app, err)
 		}
 		failAt := clean.cycles / 2
 		progressf(opt.Progress, "chaosrep %s: faulted run (fail-stop node %d at cycle %d)", app, chaosRepVictim, failAt)
-		faulted, err := chaosRepRun(opt, app, failAt)
+		faulted, err := chaosRepRun(opt, g, app, failAt)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s failstop@%d: %w", app, failAt, err)
 		}
@@ -348,9 +336,9 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 		}
 		row := ChaosRepRow{
 			App: app, CleanCycles: clean.cycles, FaultCycles: faulted.cycles,
-			TaxPct:     100 * (float64(faulted.cycles)/float64(clean.cycles) - 1),
-			FailStopAt: failAt,
-			Failovers:  faulted.stats.Faults.Failovers,
+			TaxPct:      100 * (float64(faulted.cycles)/float64(clean.cycles) - 1),
+			FailStopAt:  failAt,
+			Failovers:   faulted.stats.Faults.Failovers,
 			DeadLetters: faulted.stats.Faults.DeadLetters, FallbackReads: fallback,
 			Hints: bf.Hints, HintWords: bf.HintWords, RepairedWords: bf.RepairedWords,
 			Repl:  repl,

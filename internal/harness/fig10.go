@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"updown"
 	"updown/internal/apps/ingest"
@@ -15,6 +13,7 @@ import (
 
 // Fig10Options configures the ingestion scaling sweep.
 type Fig10Options struct {
+	SweepOptions
 	// BaseRecords is the "data 1x" record count.
 	BaseRecords int
 	// Multipliers lists the dataset sizes (the paper's data 0.01x..2x).
@@ -23,23 +22,8 @@ type Fig10Options struct {
 	Nodes []int
 	// BlockBytes is the parallel-file block size.
 	BlockBytes int
-	// Seed drives the CSV generator; Shards the host parallelism.
-	Seed   uint64
-	Shards int
-	// Profile enables the metrics recorder and the utilization columns.
-	Profile bool
-	// CritPath enables causal tracing and the crit% column.
-	CritPath bool
-	// Coalesce opts the run into the coalescing shuffle. Both ingestion
-	// phases are map-only, so this is a pass-through that leaves the run
-	// unchanged; it exists so a fig10 sweep can assert exactly that.
-	Coalesce bool
-	// MaxTime bounds simulated cycles per configuration (0 = default);
-	// timed-out configurations become table notes, not sweep failures.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run.
-	Progress io.Writer
+	// Seed drives the CSV generator.
+	Seed uint64
 }
 
 // Fig10Ingestion regenerates Figure 10 / Table 11: TFORM+KVMSR ingestion
@@ -61,6 +45,9 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 	if opt.Seed == 0 {
 		opt.Seed = 7
 	}
+	if opt.MaxTime == 0 {
+		opt.MaxTime = 1 << 44
+	}
 	var tables []*Table
 	for _, mult := range opt.Multipliers {
 		n := int(float64(opt.BaseRecords) * mult)
@@ -73,49 +60,21 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 			Workload:   fmt.Sprintf("data %gx (%d records, %d bytes)", mult, n, len(data)),
 			MetricName: "MRec/s",
 		}
+		s := &sweep{opt: opt.SweepOptions, tb: tb, tag: fmt.Sprintf("fig10 data=%gx", mult), shuffle: true}
 		for _, nodes := range opt.Nodes {
-			maxTime := opt.MaxTime
-			if maxTime == 0 {
-				maxTime = 1 << 44
-			}
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: maxTime, Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
+			err := runRow(s, fmt.Sprintf("nodes=%d", nodes), fmt.Sprint(nodes), updown.Config{Nodes: nodes},
+				func(m *updown.Machine) (*ingest.App, error) {
+					return ingest.New(m, data, ingest.Config{BlockBytes: opt.BlockBytes})
+				},
+				func(app *ingest.App, m *updown.Machine) (Row, error) {
+					if app.Records != uint64(n) {
+						return Row{}, fmt.Errorf("parsed %d records, want %d", app.Records, n)
+					}
+					return rateRow(m, app.Elapsed(), float64(n), 1e6), nil
+				})
 			if err != nil {
 				return nil, err
 			}
-			app, err := ingest.New(m, data, ingest.Config{BlockBytes: opt.BlockBytes})
-			if err != nil {
-				return nil, err
-			}
-			progressf(opt.Progress, "fig10 data=%gx nodes=%d: running", mult, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig10 data=%gx nodes=%d: timed out, skipped", mult, nodes)
-					continue
-				}
-				return nil, fmt.Errorf("fig10 %gx nodes=%d: %w", mult, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig10 data=%gx nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				mult, nodes, time.Since(wall).Seconds(), hostRate)
-			if app.Records != uint64(n) {
-				return nil, fmt.Errorf("fig10 %gx nodes=%d: parsed %d records, want %d", mult, nodes, app.Records, n)
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(n) / sec / 1e6,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
 		}
 		tb.FillSpeedups()
 		tb.Notes = append(tb.Notes, "record counts validated at every configuration")
@@ -126,6 +85,7 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 
 // Fig11Options configures the partial-match latency sweep.
 type Fig11Options struct {
+	SweepOptions
 	// Records is the stream length.
 	Records int
 	// Interarrival is the record gap in cycles (small enough to queue).
@@ -134,17 +94,6 @@ type Fig11Options struct {
 	// 1 and 4 nodes correspond to 256, 1024, 2048 and 8192 lanes.
 	LaneCounts []int
 	Seed       uint64
-	Shards     int
-	// Profile enables the metrics recorder and the utilization columns.
-	Profile bool
-	// CritPath enables causal tracing and the crit% column.
-	CritPath bool
-	// MaxTime bounds simulated cycles per configuration (0 = default);
-	// timed-out configurations become table notes, not sweep failures.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run.
-	Progress io.Writer
 }
 
 // Fig11PartialMatch regenerates Figure 11 / Table 12: streaming query
@@ -167,6 +116,9 @@ func Fig11PartialMatch(opt Fig11Options) (*Table, error) {
 	if opt.Seed == 0 {
 		opt.Seed = 11
 	}
+	if opt.MaxTime == 0 {
+		opt.MaxTime = 1 << 46
+	}
 	_, records := tform.GenCSV(opt.Records, 4096, 4, opt.Seed)
 	patterns := []match.Pattern{
 		{Types: []uint64{0, 1}},
@@ -179,58 +131,30 @@ func Fig11PartialMatch(opt Fig11Options) (*Table, error) {
 		Workload:   fmt.Sprintf("%d streamed records, 3 patterns, interarrival %d cycles", opt.Records, opt.Interarrival),
 		MetricName: "lat-us",
 	}
+	s := &sweep{opt: opt.SweepOptions, tb: tb, tag: "fig11"}
 	var baseLat float64
 	for _, lanes := range opt.LaneCounts {
-		nodes := (lanes + 2047) / 2048
-		maxTime := opt.MaxTime
-		if maxTime == 0 {
-			maxTime = 1 << 46
-		}
-		m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-			MaxTime: maxTime, Metrics: metricsConfig(opt.Profile),
-			Trace: traceConfig(opt.CritPath)})
+		err := runRow(s, fmt.Sprintf("lanes=%d", lanes), fmt.Sprintf("%d lanes", lanes),
+			updown.Config{Nodes: (lanes + 2047) / 2048},
+			func(m *updown.Machine) (*match.App, error) {
+				return match.New(m, records, patterns, match.Config{
+					Lanes:        kvmsr.LaneSet{First: 0, Count: lanes},
+					Interarrival: opt.Interarrival,
+				})
+			},
+			func(app *match.App, m *updown.Machine) (Row, error) {
+				if app.Processed() != uint64(opt.Records) {
+					return Row{}, fmt.Errorf("processed %d of %d", app.Processed(), opt.Records)
+				}
+				lat := app.AvgLatency()
+				if baseLat == 0 {
+					baseLat = lat
+				}
+				return Row{Cycles: arch.Cycles(lat), Seconds: lat / 2e9, Speedup: baseLat / lat, Metric: lat / 2e9 * 1e6}, nil
+			})
 		if err != nil {
 			return nil, err
 		}
-		app, err := match.New(m, records, patterns, match.Config{
-			Lanes:        kvmsr.LaneSet{First: 0, Count: lanes},
-			Interarrival: opt.Interarrival,
-		})
-		if err != nil {
-			return nil, err
-		}
-		progressf(opt.Progress, "fig11 lanes=%d: running", lanes)
-		wall := time.Now()
-		stats, err := app.Run()
-		if err != nil {
-			if noteTimeout(tb, fmt.Sprintf("lanes=%d", lanes), err) {
-				progressf(opt.Progress, "fig11 lanes=%d: timed out, skipped", lanes)
-				continue
-			}
-			return nil, fmt.Errorf("fig11 lanes=%d: %w", lanes, err)
-		}
-		hostRate := hostMevS(stats.Events, time.Since(wall))
-		progressf(opt.Progress, "fig11 lanes=%d: done in %.1fs (%.2f host-Mev/s)",
-			lanes, time.Since(wall).Seconds(), hostRate)
-		if app.Processed() != uint64(opt.Records) {
-			return nil, fmt.Errorf("fig11 lanes=%d: processed %d of %d", lanes, app.Processed(), opt.Records)
-		}
-		lat := app.AvgLatency()
-		if baseLat == 0 {
-			baseLat = lat
-		}
-		row := Row{
-			Label:    fmt.Sprintf("%d lanes", lanes),
-			Cycles:   arch.Cycles(lat),
-			Seconds:  lat / 2e9,
-			Speedup:  baseLat / lat,
-			Metric:   lat / 2e9 * 1e6,
-			HostMevS: hostRate,
-		}
-		fillUtilization(&row, m)
-		fillCritPct(&row, m)
-		tb.Rows = append(tb.Rows, row)
-		_ = want
 	}
 	tb.Notes = append(tb.Notes,
 		fmt.Sprintf("sequential oracle expects %d matches; racing streams may detect fewer (incremental semantics)", want))

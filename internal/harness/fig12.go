@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"updown"
 	"updown/internal/apps/bfs"
@@ -11,10 +9,14 @@ import (
 	"updown/internal/arch"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
+	"updown/internal/metrics"
 )
 
-// Fig12Options configures the data-placement sweep.
+// Fig12Options configures the data-placement sweep. On this sweep the
+// Profile DRAM% column is the direct readout of the bandwidth knee the
+// figure is about.
 type Fig12Options struct {
+	SweepOptions
 	// ComputeNodes is the fixed machine size (the paper fixes 64).
 	ComputeNodes int
 	// MemNodes sweeps the DRAMmalloc NRnodes parameter.
@@ -27,16 +29,6 @@ type Fig12Options struct {
 	// 4700 with a large Scale for the true parameter.
 	DRAMBytesPerCycle int
 	Seed              uint64
-	Shards            int
-	// Profile enables the metrics recorder and the utilization columns —
-	// on this sweep the DRAM% column is the direct readout of the
-	// bandwidth knee the figure is about.
-	Profile bool
-	// CritPath enables causal tracing and the crit% column.
-	CritPath bool
-	// MaxTime bounds simulated cycles per configuration (0 = default);
-	// timed-out configurations become table notes, not sweep failures.
-	MaxTime arch.Cycles
 	// Reps, when non-empty, appends the replication extension: with the
 	// memory-node count fixed at the largest swept value, every DRAMmalloc
 	// is repeated at each listed replication factor and the tables gain
@@ -44,9 +36,53 @@ type Fig12Options struct {
 	// multiple over k=1) columns — the price of the self-healing placement
 	// when nothing fails. A leading 1 is implied; it is the baseline row.
 	Reps []int
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run.
-	Progress io.Writer
+}
+
+// fig12Config is one row of a placement table: the row key, the machine
+// configuration and the DRAMmalloc NRnodes argument.
+type fig12Config struct {
+	key string
+	cfg updown.Config
+	mem int
+}
+
+// fig12Sweep runs one placement table: each row loads split striped over
+// its memory nodes and runs the application newApp builds; work is the
+// run's metric numerator in giga-units. It returns each row's total DRAM
+// service bytes when the table is relative.
+func fig12Sweep[A interface {
+	runner
+	Elapsed() arch.Cycles
+}](s *sweep, rows []fig12Config, split *graph.SplitGraph,
+	newApp func(*updown.Machine, *graph.DeviceGraph) (A, error), work func(A) float64) ([]int64, error) {
+	var dram []int64
+	for _, r := range rows {
+		err := runRow(s, r.key, r.key, r.cfg,
+			func(m *updown.Machine) (A, error) {
+				dg, err := graph.LoadToGAS(m.GAS, split, graph.Placement{FirstNode: 0, NRNodes: r.mem, BlockBytes: 32 << 10})
+				if err != nil {
+					var none A
+					return none, err
+				}
+				return newApp(m, dg)
+			},
+			func(app A, m *updown.Machine) (Row, error) {
+				if s.relative {
+					var bytes int64
+					prof := m.Metrics.Profile()
+					for n := range prof.Nodes {
+						bytes += prof.Nodes[n].Totals().DRAMBytes
+					}
+					dram = append(dram, bytes)
+				}
+				return rateRow(m, app.Elapsed(), work(app), 1e9), nil
+			})
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.tb.FillSpeedups()
+	return dram, nil
 }
 
 // Fig12Placement regenerates Figure 12: the performance impact of the
@@ -70,135 +106,50 @@ func Fig12Placement(opt Fig12Options) ([]*Table, error) {
 	if opt.Seed == 0 {
 		opt.Seed = 42
 	}
-	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
+	if opt.MaxTime == 0 {
+		opt.MaxTime = 1 << 44
+	}
+	g, err := graph.Generate("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
 	prSplit := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 64, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
 	bfsSplit := graph.Split(g, 256)
+	edges := func(*pagerank.App) float64 { return float64(g.NumEdges()) }
+	traversed := func(a *bfs.App) float64 { return float64(a.Traversed) }
 
-	maxTime := opt.MaxTime
-	if maxTime == 0 {
-		maxTime = 1 << 44
+	var rows []fig12Config
+	for _, mem := range opt.MemNodes {
+		rows = append(rows, fig12Config{fmt.Sprintf("mem=%d", mem), opt.machine(0), mem})
 	}
-	machine := func() (*updown.Machine, error) {
-		a := arch.DefaultMachine(opt.ComputeNodes)
-		a.DRAMBytesPerCycle = opt.DRAMBytesPerCycle
-		return updown.New(updown.Config{Arch: &a, Shards: opt.Shards,
-			MaxTime: maxTime, Metrics: metricsConfig(opt.Profile),
-			Trace: traceConfig(opt.CritPath)})
-	}
-
 	prT := &Table{
 		Title:      "Figure 12: DRAMmalloc NRnodes sweep (PageRank, graph placement)",
 		Workload:   fmt.Sprintf("rmat s%d, %d compute nodes, DRAM %dB/cycle/node", opt.Scale, opt.ComputeNodes, opt.DRAMBytesPerCycle),
 		MetricName: "GUPS",
 	}
-	for _, mem := range opt.MemNodes {
-		m, err := machine()
-		if err != nil {
-			return nil, err
-		}
-		dg, err := graph.LoadToGAS(m.GAS, prSplit, graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10})
-		if err != nil {
-			return nil, err
-		}
-		app, err := pagerankNew(m, dg)
-		if err != nil {
-			return nil, err
-		}
-		progressf(opt.Progress, "fig12-pr mem=%d: running", mem)
-		wall := time.Now()
-		stats, err := app.Run()
-		if err != nil {
-			if noteTimeout(prT, fmt.Sprintf("mem=%d", mem), err) {
-				progressf(opt.Progress, "fig12-pr mem=%d: timed out, skipped", mem)
-				continue
-			}
-			return nil, fmt.Errorf("fig12 pr mem=%d: %w", mem, err)
-		}
-		hostRate := hostMevS(stats.Events, time.Since(wall))
-		progressf(opt.Progress, "fig12-pr mem=%d: done in %.1fs (%.2f host-Mev/s)",
-			mem, time.Since(wall).Seconds(), hostRate)
-		sec := m.Seconds(app.Elapsed())
-		row := Row{
-			Label:    fmt.Sprintf("mem=%d", mem),
-			Cycles:   app.Elapsed(),
-			Seconds:  sec,
-			Metric:   float64(g.NumEdges()) / sec / 1e9,
-			HostMevS: hostRate,
-		}
-		fillUtilization(&row, m)
-		fillCritPct(&row, m)
-		prT.Rows = append(prT.Rows, row)
+	if _, err := fig12Sweep(&sweep{opt: opt.SweepOptions, tb: prT, tag: "fig12-pr"}, rows, prSplit, pagerankNew, edges); err != nil {
+		return nil, err
 	}
-	prT.FillSpeedups()
-
 	bfsT := &Table{
 		Title:      "Figure 12: DRAMmalloc NRnodes sweep (BFS, graph placement)",
 		Workload:   prT.Workload,
 		MetricName: "GTEPS",
 	}
-	for _, mem := range opt.MemNodes {
-		m, err := machine()
-		if err != nil {
-			return nil, err
-		}
-		dg, err := graph.LoadToGAS(m.GAS, bfsSplit, graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10})
-		if err != nil {
-			return nil, err
-		}
-		app, err := bfsNew(m, dg)
-		if err != nil {
-			return nil, err
-		}
-		progressf(opt.Progress, "fig12-bfs mem=%d: running", mem)
-		wall := time.Now()
-		stats, err := app.Run()
-		if err != nil {
-			if noteTimeout(bfsT, fmt.Sprintf("mem=%d", mem), err) {
-				progressf(opt.Progress, "fig12-bfs mem=%d: timed out, skipped", mem)
-				continue
-			}
-			return nil, fmt.Errorf("fig12 bfs mem=%d: %w", mem, err)
-		}
-		hostRate := hostMevS(stats.Events, time.Since(wall))
-		progressf(opt.Progress, "fig12-bfs mem=%d: done in %.1fs (%.2f host-Mev/s)",
-			mem, time.Since(wall).Seconds(), hostRate)
-		sec := m.Seconds(app.Elapsed())
-		row := Row{
-			Label:    fmt.Sprintf("mem=%d", mem),
-			Cycles:   app.Elapsed(),
-			Seconds:  sec,
-			Metric:   float64(app.Traversed) / sec / 1e9,
-			HostMevS: hostRate,
-		}
-		fillUtilization(&row, m)
-		fillCritPct(&row, m)
-		bfsT.Rows = append(bfsT.Rows, row)
+	if _, err := fig12Sweep(&sweep{opt: opt.SweepOptions, tb: bfsT, tag: "fig12-bfs"}, rows, bfsSplit, bfsNew, traversed); err != nil {
+		return nil, err
 	}
-	bfsT.FillSpeedups()
 	note := "per-node bandwidth reduced to keep the reduced-scale graph memory-bound, matching the paper's s28 operating point"
 	prT.Notes = append(prT.Notes, note)
 	bfsT.Notes = append(bfsT.Notes, note)
-	tables := []*Table{prT, bfsT}
-	if len(opt.Reps) > 0 {
-		rt, err := fig12ReplicationTax(opt, g, prSplit, bfsSplit, maxTime)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, rt...)
+	if len(opt.Reps) == 0 {
+		return []*Table{prT, bfsT}, nil
 	}
-	return tables, nil
-}
 
-// fig12ReplicationTax runs the replication extension of the placement
-// sweep: the memory-node count is pinned at the largest swept value and
-// only the machine's replication factor changes between rows, so the
-// cycle and DRAM-byte deltas are the pure cost of fanning every global
-// write out to k replicas. Metrics are forced on — the dramx column is
-// the point of the table.
-func fig12ReplicationTax(opt Fig12Options, g *graph.Graph, prSplit, bfsSplit *graph.SplitGraph, maxTime arch.Cycles) ([]*Table, error) {
+	// The replication extension: the memory-node count is pinned at the
+	// largest swept value and only the machine's replication factor
+	// changes between rows, so the cycle and DRAM-byte deltas are the pure
+	// cost of fanning every global write out to k replicas. Metrics are
+	// forced on — the dramx column is the point of the table.
 	mem := opt.MemNodes[len(opt.MemNodes)-1]
 	reps := []int{1}
 	for _, k := range opt.Reps {
@@ -209,84 +160,36 @@ func fig12ReplicationTax(opt Fig12Options, g *graph.Graph, prSplit, bfsSplit *gr
 	if mx := gasmem.FloorPow2(mem); reps[len(reps)-1] > mx {
 		return nil, fmt.Errorf("fig12: replication factor %d exceeds the %d-node placement", reps[len(reps)-1], mx)
 	}
-	machine := func(k int) (*updown.Machine, error) {
-		a := arch.DefaultMachine(opt.ComputeNodes)
-		a.DRAMBytesPerCycle = opt.DRAMBytesPerCycle
-		return updown.New(updown.Config{Arch: &a, Shards: opt.Shards,
-			MaxTime: maxTime, Replication: k, Metrics: metricsConfig(true),
-			Trace: traceConfig(opt.CritPath)})
+	var repRows []fig12Config
+	for _, k := range reps {
+		cfg := opt.machine(k)
+		cfg.Metrics = &metrics.Options{}
+		repRows = append(repRows, fig12Config{fmt.Sprintf("k=%d", k), cfg, mem})
 	}
 	workload := fmt.Sprintf("rmat s%d, %d compute nodes, mem=%d, DRAM %dB/cycle/node", opt.Scale, opt.ComputeNodes, mem, opt.DRAMBytesPerCycle)
-	var tables []*Table
-	for _, app := range []string{"pr", "bfs"} {
-		tb := &Table{MetricName: "GUPS"}
-		split := prSplit
-		if app == "bfs" {
-			tb.MetricName = "GTEPS"
-			split = bfsSplit
+	tables := []*Table{prT, bfsT}
+	for _, app := range []string{"PageRank", "BFS"} {
+		tb := &Table{
+			Title:    fmt.Sprintf("Figure 12 extension: replication tax (%s, k-way replicated placement)", app),
+			Workload: workload,
 		}
-		tb.Title = fmt.Sprintf("Figure 12 extension: replication tax (%s, k-way replicated placement)", map[string]string{"pr": "PageRank", "bfs": "BFS"}[app])
-		tb.Workload = workload
-		var dramBytes []int64
-		for _, k := range reps {
-			m, err := machine(k)
-			if err != nil {
-				return nil, err
-			}
-			dg, err := graph.LoadToGAS(m.GAS, split, graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10})
-			if err != nil {
-				return nil, err
-			}
-			progressf(opt.Progress, "fig12-rep %s k=%d: running", app, k)
-			wall := time.Now()
-			var elapsed arch.Cycles
-			var metric float64
-			var stats updown.Stats
-			if app == "pr" {
-				a, err := pagerankNew(m, dg)
-				if err != nil {
-					return nil, err
-				}
-				if stats, err = a.Run(); err != nil {
-					return nil, fmt.Errorf("fig12 replication %s k=%d: %w", app, k, err)
-				}
-				elapsed = a.Elapsed()
-				metric = float64(g.NumEdges()) / m.Seconds(elapsed) / 1e9
-			} else {
-				a, err := bfsNew(m, dg)
-				if err != nil {
-					return nil, err
-				}
-				if stats, err = a.Run(); err != nil {
-					return nil, fmt.Errorf("fig12 replication %s k=%d: %w", app, k, err)
-				}
-				elapsed = a.Elapsed()
-				metric = float64(a.Traversed) / m.Seconds(elapsed) / 1e9
-			}
-			progressf(opt.Progress, "fig12-rep %s k=%d: done in %.1fs", app, k, time.Since(wall).Seconds())
-			var bytes int64
-			prof := m.Metrics.Profile()
-			for n := range prof.Nodes {
-				bytes += prof.Nodes[n].Totals().DRAMBytes
-			}
-			dramBytes = append(dramBytes, bytes)
-			row := Row{
-				Label:    fmt.Sprintf("k=%d", k),
-				Cycles:   elapsed,
-				Seconds:  m.Seconds(elapsed),
-				Metric:   metric,
-				HostMevS: hostMevS(stats.Events, time.Since(wall)),
-			}
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
+		s := &sweep{opt: opt.SweepOptions, tb: tb, relative: true}
+		var dram []int64
+		if app == "PageRank" {
+			tb.MetricName, s.tag = "GUPS", "fig12-rep pr"
+			dram, err = fig12Sweep(s, repRows, prSplit, pagerankNew, edges)
+		} else {
+			tb.MetricName, s.tag = "GTEPS", "fig12-rep bfs"
+			dram, err = fig12Sweep(s, repRows, bfsSplit, bfsNew, traversed)
 		}
-		tb.FillSpeedups()
+		if err != nil {
+			return nil, err
+		}
 		base := tb.Rows[0]
 		for i := range tb.Rows {
 			tb.Rows[i].TaxPct = 100 * (float64(tb.Rows[i].Cycles)/float64(base.Cycles) - 1)
-			if dramBytes[0] > 0 {
-				tb.Rows[i].DRAMx = float64(dramBytes[i]) / float64(dramBytes[0])
+			if dram[0] > 0 {
+				tb.Rows[i].DRAMx = float64(dram[i]) / float64(dram[0])
 			}
 		}
 		tb.Notes = append(tb.Notes,
@@ -294,6 +197,14 @@ func fig12ReplicationTax(opt Fig12Options, g *graph.Graph, prSplit, bfsSplit *gr
 		tables = append(tables, tb)
 	}
 	return tables, nil
+}
+
+// machine is the fixed-compute, reduced-bandwidth machine of every
+// Figure 12 row, with k-way replicated placement (0 = off).
+func (o *Fig12Options) machine(k int) updown.Config {
+	a := arch.DefaultMachine(o.ComputeNodes)
+	a.DRAMBytesPerCycle = o.DRAMBytesPerCycle
+	return updown.Config{Arch: &a, Replication: k}
 }
 
 func pagerankNew(m *updown.Machine, dg *graph.DeviceGraph) (*pagerank.App, error) {

@@ -2,21 +2,20 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"time"
 
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/pagerank"
 	"updown/internal/apps/tc"
-	"updown/internal/arch"
 	"updown/internal/baseline"
 	"updown/internal/graph"
+	"updown/internal/kvmsr"
 )
 
 // Fig9Options configures the strong-scaling sweeps of Figure 9.
 type Fig9Options struct {
+	SweepOptions
 	// Scale is log2 of the vertex count (paper: 25-29; default here is
 	// laptop-scale).
 	Scale int
@@ -26,39 +25,16 @@ type Fig9Options struct {
 	Presets []string
 	// Seed drives the generators.
 	Seed uint64
-	// Shards is the simulator host parallelism (0 = auto).
-	Shards int
-	// Iterations for PageRank.
+	// Iterations for PageRank (0 = 1).
 	Iterations int
 	// Validate cross-checks every run against the host baseline.
 	Validate bool
-	// Profile enables the metrics recorder and fills the utilization
-	// columns (imbalance, DRAM%, inj%) of every row.
-	Profile bool
-	// CritPath enables causal tracing and fills the crit% column of every
-	// row (critical-path length over makespan).
-	CritPath bool
 	// Coalesce opts every row into the coalescing shuffle (multi-tuple
 	// packed messages); the msgs and tup/msg columns show the traffic.
 	Coalesce bool
 	// Combine additionally installs the application's combiner (PageRank:
 	// float add; TC: keep-first). Requires Coalesce; BFS ignores it.
 	Combine bool
-	// MaxTime bounds simulated cycles per configuration (0 = the runner
-	// default). Configurations that exceed it are recorded as a table
-	// note and skipped instead of aborting the sweep.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run (typically os.Stderr via the -progress flag), so
-	// long sweeps are observable before their tables print.
-	Progress io.Writer
-}
-
-func (o *Fig9Options) maxTime() arch.Cycles {
-	if o.MaxTime != 0 {
-		return o.MaxTime
-	}
-	return 1 << 44
 }
 
 func (o *Fig9Options) defaults(scale int, presets []string) {
@@ -74,23 +50,46 @@ func (o *Fig9Options) defaults(scale int, presets []string) {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	if o.Iterations == 0 {
-		o.Iterations = 1
+	if o.MaxTime == 0 {
+		o.MaxTime = 1 << 44
 	}
 }
 
-func buildPreset(name string, scale int, seed uint64, forceUndirected bool) (*graph.Graph, error) {
-	p, err := graph.PresetByName(name)
-	if err != nil {
-		return nil, err
+// coalesceConfig returns the coalescing-shuffle config for a sweep row:
+// nil (one message per tuple) unless coalescing was requested.
+func coalesceConfig(on bool) *kvmsr.Coalesce {
+	if !on {
+		return nil
 	}
-	edges := p.Build(scale, seed)
-	return graph.FromEdges(1<<scale, edges, graph.BuildOptions{
-		Undirected:    p.Undirected || forceUndirected,
-		Dedup:         true,
-		DropSelfLoops: true,
-		SortNeighbors: true,
-	}), nil
+	return &kvmsr.Coalesce{}
+}
+
+// fig9Sweep runs the node-count sweep of one Figure 9 table: every row
+// loads split with the default placement, build installs the application
+// on it, and fill validates the run and returns the row's columns.
+func fig9Sweep[A runner](opt *Fig9Options, tb *Table, tag string, split *graph.SplitGraph,
+	build func(*updown.Machine, *graph.DeviceGraph) (A, error),
+	fill func(A, *updown.Machine) (Row, error), validated string) error {
+	s := &sweep{opt: opt.SweepOptions, tb: tb, tag: tag, shuffle: true}
+	for _, nodes := range opt.Nodes {
+		cfg := updown.Config{Nodes: nodes, Coalesce: coalesceConfig(opt.Coalesce)}
+		load := func(m *updown.Machine) (A, error) {
+			dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(nodes))
+			if err != nil {
+				var none A
+				return none, err
+			}
+			return build(m, dg)
+		}
+		if err := runRow(s, fmt.Sprintf("nodes=%d", nodes), fmt.Sprint(nodes), cfg, load, fill); err != nil {
+			return err
+		}
+	}
+	tb.FillSpeedups()
+	if opt.Validate {
+		tb.Notes = append(tb.Notes, validated)
+	}
+	return nil
 }
 
 // Fig9PageRank regenerates Figure 9 (left) / Table 8: PageRank strong
@@ -103,7 +102,7 @@ func Fig9PageRank(opt Fig9Options) ([]*Table, error) {
 		// The paper's preprocessing symmetrizes inputs unless -d is
 		// passed; PR uses that default, so the degree cap bounds
 		// in-degree too and the split spreads both directions.
-		g, err := buildPreset(name, opt.Scale, opt.Seed, true)
+		g, err := graph.Generate(name, opt.Scale, opt.Seed, true)
 		if err != nil {
 			return nil, err
 		}
@@ -112,65 +111,35 @@ func Fig9PageRank(opt Fig9Options) ([]*Table, error) {
 		// the scale-matched cap here keeps that property (cap ~= max
 		// degree x lanes / vertices).
 		split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 64, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
-		var want []float64
-		if opt.Validate {
-			want = baseline.PageRank(g, opt.Iterations)
-		}
 		tb := &Table{
 			Title:      "Figure 9 (left) / Table 8: PageRank strong scaling",
 			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges, split to 64)", name, opt.Scale, g.N, g.NumEdges()),
 			MetricName: "GUPS",
 		}
-		for _, nodes := range opt.Nodes {
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: opt.maxTime(), Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
-			if err != nil {
-				return nil, err
-			}
-			dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(nodes))
-			if err != nil {
-				return nil, err
-			}
-			app, err := pagerank.New(m, dg, pagerank.Config{Iterations: opt.Iterations, Combine: opt.Combine})
-			if err != nil {
-				return nil, err
-			}
-			app.InitValues()
-			progressf(opt.Progress, "fig9-pr %s nodes=%d: running", name, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig9-pr %s nodes=%d: timed out, skipped", name, nodes)
-					continue
+		// The baseline runs the iteration count the app resolved.
+		var want []float64
+		err = fig9Sweep(&opt, tb, "fig9-pr "+name, split,
+			func(m *updown.Machine, dg *graph.DeviceGraph) (*pagerank.App, error) {
+				app, err := pagerank.New(m, dg, pagerank.Config{Iterations: opt.Iterations, Combine: opt.Combine})
+				if err != nil {
+					return nil, err
 				}
-				return nil, fmt.Errorf("fig9 pr %s nodes=%d: %w", name, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig9-pr %s nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				name, nodes, time.Since(wall).Seconds(), hostRate)
-			if opt.Validate {
-				if err := comparePR(app.Values(), want); err != nil {
-					return nil, fmt.Errorf("fig9 pr %s nodes=%d: %w", name, nodes, err)
+				app.InitValues()
+				return app, nil
+			},
+			func(app *pagerank.App, m *updown.Machine) (Row, error) {
+				if opt.Validate {
+					if want == nil {
+						want = baseline.PageRank(g, app.Iterations())
+					}
+					if err := comparePR(app.Values(), want); err != nil {
+						return Row{}, err
+					}
 				}
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(g.NumEdges()) * float64(opt.Iterations) / sec / 1e9,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
-		}
-		tb.FillSpeedups()
-		if opt.Validate {
-			tb.Notes = append(tb.Notes, "values validated against host baseline at every configuration")
+				return rateRow(m, app.Elapsed(), float64(g.NumEdges())*float64(app.Iterations()), 1e9), nil
+			}, "values validated against host baseline at every configuration")
+		if err != nil {
+			return nil, err
 		}
 		tables = append(tables, tb)
 	}
@@ -192,7 +161,7 @@ func Fig9BFS(opt Fig9Options) ([]*Table, error) {
 	opt.defaults(16, []string{"rmat", "com-orkut", "soc-livej"})
 	var tables []*Table
 	for _, name := range opt.Presets {
-		g, err := buildPreset(name, opt.Scale, opt.Seed, false)
+		g, err := graph.Generate(name, opt.Scale, opt.Seed, false)
 		if err != nil {
 			return nil, err
 		}
@@ -212,56 +181,25 @@ func Fig9BFS(opt Fig9Options) ([]*Table, error) {
 			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges, root %d)", name, opt.Scale, g.N, g.NumEdges(), root),
 			MetricName: "GTEPS",
 		}
-		for _, nodes := range opt.Nodes {
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: opt.maxTime(), Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
-			if err != nil {
-				return nil, err
-			}
-			dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(nodes))
-			if err != nil {
-				return nil, err
-			}
-			app, err := bfs.New(m, dg, bfs.Config{Root: root})
-			if err != nil {
-				return nil, err
-			}
-			app.InitValues()
-			progressf(opt.Progress, "fig9-bfs %s nodes=%d: running", name, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig9-bfs %s nodes=%d: timed out, skipped", name, nodes)
-					continue
+		err = fig9Sweep(&opt, tb, "fig9-bfs "+name, split,
+			func(m *updown.Machine, dg *graph.DeviceGraph) (*bfs.App, error) {
+				app, err := bfs.New(m, dg, bfs.Config{Root: root})
+				if err != nil {
+					return nil, err
 				}
-				return nil, fmt.Errorf("fig9 bfs %s nodes=%d: %w", name, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig9-bfs %s nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				name, nodes, time.Since(wall).Seconds(), hostRate)
-			if opt.Validate {
-				if err := compareBFS(app.Distances(), want); err != nil {
-					return nil, fmt.Errorf("fig9 bfs %s nodes=%d: %w", name, nodes, err)
+				app.InitValues()
+				return app, nil
+			},
+			func(app *bfs.App, m *updown.Machine) (Row, error) {
+				if opt.Validate {
+					if err := compareBFS(app.Distances(), want); err != nil {
+						return Row{}, err
+					}
 				}
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(app.Traversed) / sec / 1e9,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
-		}
-		tb.FillSpeedups()
-		if opt.Validate {
-			tb.Notes = append(tb.Notes, "distances validated against host baseline at every configuration")
+				return rateRow(m, app.Elapsed(), float64(app.Traversed), 1e9), nil
+			}, "distances validated against host baseline at every configuration")
+		if err != nil {
+			return nil, err
 		}
 		tables = append(tables, tb)
 	}
@@ -287,7 +225,7 @@ func Fig9TC(opt Fig9Options) ([]*Table, error) {
 	opt.defaults(11, []string{"friendster", "com-orkut", "soc-livej", "rmat"})
 	var tables []*Table
 	for _, name := range opt.Presets {
-		g, err := buildPreset(name, opt.Scale, opt.Seed, true)
+		g, err := graph.Generate(name, opt.Scale, opt.Seed, true)
 		if err != nil {
 			return nil, err
 		}
@@ -300,54 +238,18 @@ func Fig9TC(opt Fig9Options) ([]*Table, error) {
 			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges)", name, opt.Scale, g.N, g.NumEdges()),
 			MetricName: "Mops/s",
 		}
-		for _, nodes := range opt.Nodes {
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: opt.maxTime(), Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
-			if err != nil {
-				return nil, err
-			}
-			dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 0), graph.DefaultPlacement(nodes))
-			if err != nil {
-				return nil, err
-			}
-			app, err := tc.New(m, dg, tc.Config{Combine: opt.Combine})
-			if err != nil {
-				return nil, err
-			}
-			progressf(opt.Progress, "fig9-tc %s nodes=%d: running", name, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig9-tc %s nodes=%d: timed out, skipped", name, nodes)
-					continue
+		err = fig9Sweep(&opt, tb, "fig9-tc "+name, graph.Split(g, 0),
+			func(m *updown.Machine, dg *graph.DeviceGraph) (*tc.App, error) {
+				return tc.New(m, dg, tc.Config{Combine: opt.Combine})
+			},
+			func(app *tc.App, m *updown.Machine) (Row, error) {
+				if opt.Validate && app.Total() != want {
+					return Row{}, fmt.Errorf("total %d, baseline %d", app.Total(), want)
 				}
-				return nil, fmt.Errorf("fig9 tc %s nodes=%d: %w", name, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig9-tc %s nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				name, nodes, time.Since(wall).Seconds(), hostRate)
-			if opt.Validate && app.Total() != want {
-				return nil, fmt.Errorf("fig9 tc %s nodes=%d: total %d, baseline %d", name, nodes, app.Total(), want)
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(app.Total()) / sec / 1e6,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
-		}
-		tb.FillSpeedups()
-		if opt.Validate {
-			tb.Notes = append(tb.Notes,
-				fmt.Sprintf("triangle totals validated against host baseline (%d triangles)", want/3))
+				return rateRow(m, app.Elapsed(), float64(app.Total()), 1e6), nil
+			}, fmt.Sprintf("triangle totals validated against host baseline (%d triangles)", want/3))
+		if err != nil {
+			return nil, err
 		}
 		tables = append(tables, tb)
 	}

@@ -207,8 +207,10 @@ func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
 	tenants := []string{"acme", "globex", "initech"}
 	splits := make([]*graph.SplitGraph, len(tenants))
 	for i := range tenants {
-		g := graph.FromEdges(1<<opt.Scale, graph.DefaultRMAT(opt.Scale, opt.Seed+uint64(i)), graph.BuildOptions{
-			Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+		g, err := graph.Generate("rmat", opt.Scale, opt.Seed+uint64(i), true)
+		if err != nil {
+			return nil, err
+		}
 		splits[i] = graph.Split(g, 64)
 	}
 

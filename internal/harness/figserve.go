@@ -178,8 +178,10 @@ func FigServe(opt FigServeOptions) (*FigServeResult, error) {
 	ar.AccelsPerNode = opt.AccelsPerNode
 	ar.LanesPerAccel = opt.LanesPerAccel
 
-	g := graph.FromEdges(1<<opt.Scale, graph.DefaultRMAT(opt.Scale, opt.Seed), graph.BuildOptions{
-		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	g, err := graph.Generate("rmat", opt.Scale, opt.Seed, true)
+	if err != nil {
+		return nil, err
+	}
 
 	m, err := updown.New(updown.Config{Arch: &ar, Shards: opt.Shards,
 		MaxTime: 1 << 44, Metrics: &metrics.Options{}})

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,7 +23,6 @@ import (
 
 	"updown"
 	"updown/internal/arch"
-	"updown/internal/kvmsr"
 	"updown/internal/metrics"
 	"updown/internal/sim"
 )
@@ -73,40 +73,38 @@ type Row struct {
 	DRAMx  float64
 }
 
-// metricsConfig returns the recorder options for a sweep row: nil unless
-// profiling was requested.
-func metricsConfig(profile bool) *metrics.Options {
-	if !profile {
-		return nil
-	}
-	return &metrics.Options{}
+// SweepOptions are the settings every figure sweep shares: host
+// parallelism, the observability columns, the per-configuration
+// simulation bound and progress reporting.
+type SweepOptions struct {
+	// Shards is the simulator host parallelism (0 = auto).
+	Shards int
+	// Profile enables the metrics recorder and fills the utilization
+	// columns (imbalance, DRAM%, inj%) of every row.
+	Profile bool
+	// CritPath enables causal tracing and fills the crit% column of every
+	// row (critical-path length over makespan).
+	CritPath bool
+	// MaxTime bounds simulated cycles per configuration (0 = the figure's
+	// default). Configurations that exceed it are recorded as a table
+	// note and skipped instead of aborting the sweep.
+	MaxTime arch.Cycles
+	// Progress, when non-nil, receives one line before and after every
+	// configuration run (typically os.Stderr via the -progress flag), so
+	// long sweeps are observable before their tables print.
+	Progress io.Writer
 }
 
-// fillUtilization populates r's utilization columns from m's recorder
-// after a run; it is a no-op when the machine was built without metrics.
-func fillUtilization(r *Row, m *updown.Machine) {
-	if m.Metrics == nil {
-		return
+// config completes one row's machine configuration with the shared
+// settings. A recorder the row already asks for stays on without Profile.
+func (o *SweepOptions) config(cfg updown.Config) updown.Config {
+	cfg.Shards = o.Shards
+	cfg.MaxTime = o.MaxTime
+	if o.Profile {
+		cfg.Metrics = &metrics.Options{}
 	}
-	s := m.Metrics.Profile().Summarize(m.Arch)
-	r.Imbalance = s.Imbalance
-	r.DRAMUtil = s.DRAMUtil
-	r.InjUtil = s.InjUtil
-}
-
-// coalesceConfig returns the coalescing-shuffle config for a sweep row:
-// nil (one message per tuple) unless coalescing was requested.
-func coalesceConfig(on bool) *kvmsr.Coalesce {
-	if !on {
-		return nil
-	}
-	return &kvmsr.Coalesce{}
-}
-
-// fillShuffle populates r's shuffle-traffic columns from the run stats.
-func fillShuffle(r *Row, stats updown.Stats) {
-	r.Msgs = stats.ShuffleMsgs
-	r.Tuples = stats.ShuffleTuples
+	cfg.Trace = traceConfig(o.CritPath)
+	return cfg
 }
 
 // traceConfig returns the causal-tracing options for a sweep row: nil
@@ -119,13 +117,13 @@ func traceConfig(critPath bool) *metrics.TraceOptions {
 	return &metrics.TraceOptions{Causal: true}
 }
 
-// fillCritPct populates r's crit% column from m's causal trace after a
-// run; it is a no-op when the machine was built without tracing.
-func fillCritPct(r *Row, m *updown.Machine) {
+// critPct is the crit% column of a finished run: the causal critical
+// path over the makespan, 0 when the machine was built without tracing.
+func critPct(m *updown.Machine) float64 {
 	if m.Trace == nil || !m.Trace.CausalOn() {
-		return
+		return 0
 	}
-	r.CritPct = m.Trace.CriticalPath().CritPct()
+	return m.Trace.CriticalPath().CritPct()
 }
 
 // progressf writes one sweep-progress line to w, or nothing when no
@@ -139,6 +137,15 @@ func progressf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format+"\n", args...)
 }
 
+// ProgressWriter maps a command's -progress flag to a sweep's Progress
+// destination: stderr when set, none otherwise.
+func ProgressWriter(on bool) io.Writer {
+	if !on {
+		return nil
+	}
+	return os.Stderr
+}
+
 // hostMevS converts an event count and a wall-clock duration into the
 // host-Mev/s rate reported in sweep tables.
 func hostMevS(events int64, wall time.Duration) float64 {
@@ -148,17 +155,86 @@ func hostMevS(events int64, wall time.Duration) float64 {
 	return float64(events) / wall.Seconds() / 1e6
 }
 
-// noteTimeout reports whether err is a simulation timeout and, when it is,
-// records the configuration as a table note so the sweep can continue with
-// its remaining rows instead of aborting. One livelocked configuration
-// (usually the smallest machine at an overlarge scale) should not cost the
-// whole table.
-func noteTimeout(tb *Table, label string, err error) bool {
-	if !errors.Is(err, sim.ErrTimeout) {
-		return false
+// sweep runs the rows of one table, each on a fresh machine.
+type sweep struct {
+	opt SweepOptions
+	tb  *Table
+	// tag names the table in progress lines and errors ("fig9-pr rmat").
+	tag string
+	// shuffle fills the msgs and tup/msg columns from the run stats.
+	shuffle bool
+	// relative marks a table whose columns are measured against its first
+	// row (the replication tax): a timeout fails the sweep instead of
+	// dropping a row, and progress reports wall time only.
+	relative bool
+}
+
+// runner is an application installed on a machine, ready to run.
+type runner interface {
+	Run() (updown.Stats, error)
+}
+
+// runRow runs one configuration of s's table on a machine built from cfg
+// and the shared options, and appends its row under label. build installs
+// the application; fill validates the finished run and returns the
+// figure's own columns (cycles, seconds, speedup, metric). The runner adds
+// host-Mev/s, shuffle traffic, utilization and crit%. A simulation timeout
+// becomes a table note naming key — one livelocked configuration (usually
+// the smallest machine at an overlarge scale) should not cost the whole
+// table — unless the table is relative.
+func runRow[A runner](s *sweep, key, label string, cfg updown.Config,
+	build func(*updown.Machine) (A, error), fill func(A, *updown.Machine) (Row, error)) error {
+	row, err := func() (Row, error) {
+		m, err := updown.New(s.opt.config(cfg))
+		if err != nil {
+			return Row{}, err
+		}
+		app, err := build(m)
+		if err != nil {
+			return Row{}, err
+		}
+		progressf(s.opt.Progress, "%s %s: running", s.tag, key)
+		wall := time.Now()
+		stats, err := app.Run()
+		if err != nil {
+			return Row{}, err
+		}
+		el := time.Since(wall)
+		host := hostMevS(stats.Events, el)
+		if s.relative {
+			progressf(s.opt.Progress, "%s %s: done in %.1fs", s.tag, key, el.Seconds())
+		} else {
+			progressf(s.opt.Progress, "%s %s: done in %.1fs (%.2f host-Mev/s)", s.tag, key, el.Seconds(), host)
+		}
+		row, err := fill(app, m)
+		row.Label, row.HostMevS = label, host
+		if s.shuffle {
+			row.Msgs, row.Tuples = stats.ShuffleMsgs, stats.ShuffleTuples
+		}
+		if m.Metrics != nil {
+			u := m.Metrics.Profile().Summarize(m.Arch)
+			row.Imbalance, row.DRAMUtil, row.InjUtil = u.Imbalance, u.DRAMUtil, u.InjUtil
+		}
+		row.CritPct = critPct(m)
+		return row, err
+	}()
+	if errors.Is(err, sim.ErrTimeout) && !s.relative {
+		s.tb.Notes = append(s.tb.Notes, fmt.Sprintf("%s skipped: %v", key, err))
+		progressf(s.opt.Progress, "%s %s: timed out, skipped", s.tag, key)
+		return nil
 	}
-	tb.Notes = append(tb.Notes, fmt.Sprintf("%s skipped: %v", label, err))
-	return true
+	if err != nil {
+		return fmt.Errorf("%s %s: %w", s.tag, key, err)
+	}
+	s.tb.Rows = append(s.tb.Rows, row)
+	return nil
+}
+
+// rateRow is a row whose metric is work per simulated second, in units
+// of unit (1e9 for GUPS).
+func rateRow(m *updown.Machine, elapsed arch.Cycles, work, unit float64) Row {
+	sec := m.Seconds(elapsed)
+	return Row{Cycles: elapsed, Seconds: sec, Metric: work / sec / unit}
 }
 
 // Table is one series of one figure.
@@ -188,50 +264,6 @@ func (t *Table) FillSpeedups() {
 	}
 }
 
-// profiled reports whether any row carries utilization columns, which are
-// then included in the rendered tables.
-func (t *Table) profiled() bool {
-	for _, r := range t.Rows {
-		if r.Imbalance != 0 || r.DRAMUtil != 0 || r.InjUtil != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// critTracked reports whether any row carries a crit% value, which then
-// adds the column to the rendered tables.
-func (t *Table) critTracked() bool {
-	for _, r := range t.Rows {
-		if r.CritPct != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// replicated reports whether any row carries a replication-tax value,
-// which then adds the tax% and dramx columns to the rendered tables.
-func (t *Table) replicated() bool {
-	for _, r := range t.Rows {
-		if r.DRAMx != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// shuffled reports whether any row carries shuffle-traffic counts, which
-// then adds the msgs and tup/msg columns to the rendered tables.
-func (t *Table) shuffled() bool {
-	for _, r := range t.Rows {
-		if r.Msgs != 0 || r.Tuples != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // tupPerMsg is the achieved packing factor of one row (1.0 for the
 // classic shuffle; 0 when the run shuffled nothing).
 func (r *Row) tupPerMsg() float64 {
@@ -241,100 +273,142 @@ func (r *Row) tupPerMsg() float64 {
 	return float64(r.Tuples) / float64(r.Msgs)
 }
 
+// columns lists the table's columns. The optional groups — shuffle
+// traffic, replication tax, utilization and crit% — are shown when any row
+// carries them.
+func (t *Table) columns() []column[Row] {
+	shuf := func(r *Row) bool { return r.Msgs != 0 || r.Tuples != 0 }
+	rep := func(r *Row) bool { return r.DRAMx != 0 }
+	prof := func(r *Row) bool { return r.Imbalance != 0 || r.DRAMUtil != 0 || r.InjUtil != 0 }
+	crit := func(r *Row) bool { return r.CritPct != 0 }
+	return []column[Row]{
+		{"config", "", -12, "s", func(r *Row) any { return r.Label }, nil},
+		{"cycles", "", 14, "d", func(r *Row) any { return r.Cycles }, nil},
+		{"seconds", "", 12, ".6f", func(r *Row) any { return r.Seconds }, nil},
+		{"speedup", "", 10, ".2f", func(r *Row) any { return r.Speedup }, nil},
+		{t.MetricName, "", 16, ".4g", func(r *Row) any { return r.Metric }, nil},
+		{"host-Mev/s", "", 12, ".3f", func(r *Row) any { return r.HostMevS }, nil},
+		{"msgs", "", 12, "d", func(r *Row) any { return r.Msgs }, shuf},
+		{"tup/msg", "", 8, ".2f", func(r *Row) any { return r.tupPerMsg() }, shuf},
+		{"tax%", "", 8, ".1f", func(r *Row) any { return r.TaxPct }, rep},
+		{"dramx", "", 8, ".2f", func(r *Row) any { return r.DRAMx }, rep},
+		{"imbal", "", 8, ".2f", func(r *Row) any { return r.Imbalance }, prof},
+		{"dram%", "", 8, ".1f", func(r *Row) any { return 100 * r.DRAMUtil }, prof},
+		{"inj%", "", 8, ".1f", func(r *Row) any { return 100 * r.InjUtil }, prof},
+		{"crit%", "", 8, ".2f", func(r *Row) any { return 100 * r.CritPct }, crit},
+	}
+}
+
 // Format renders the table as aligned text.
 func (t *Table) Format() string {
-	prof := t.profiled()
-	crit := t.critTracked()
-	shuf := t.shuffled()
-	rep := t.replicated()
+	return formatText(t.Title+" — "+t.Workload, t.columns(), t.Rows, t.Notes)
+}
+
+// Markdown renders the table as a GitHub table (EXPERIMENTS.md).
+func (t *Table) Markdown() string {
+	return formatMarkdown(t.Title+" — "+t.Workload, t.columns(), t.Rows, t.Notes) + "\n"
+}
+
+// column is one column of a rendered table over rows of type R.
+type column[R any] struct {
+	head string
+	// md is the markdown head when it differs from head.
+	md string
+	// width is the text width; negative left-aligns.
+	width int
+	// verb formats the cell after the width ("d", ".2f").
+	verb string
+	cell func(*R) any
+	// opt, when set, makes the column optional: it is shown when opt holds
+	// for any row. Columns of one group share their opt.
+	opt func(*R) bool
+}
+
+// shown returns the columns rendered for rows.
+func shown[R any](cols []column[R], rows []R) []column[R] {
+	var out []column[R]
+	for _, c := range cols {
+		on := c.opt == nil
+		for i := 0; !on && i < len(rows); i++ {
+			on = c.opt(&rows[i])
+		}
+		if on {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// formatText renders rows as aligned text under a title line.
+func formatText[R any](title string, cols []column[R], rows []R, notes []string) string {
+	cols = shown(cols, rows)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.Title, t.Workload)
-	fmt.Fprintf(&b, "%-12s %14s %12s %10s %16s %12s", "config", "cycles", "seconds", "speedup", t.MetricName, "host-Mev/s")
-	if shuf {
-		fmt.Fprintf(&b, " %12s %8s", "msgs", "tup/msg")
-	}
-	if rep {
-		fmt.Fprintf(&b, " %8s %8s", "tax%", "dramx")
-	}
-	if prof {
-		fmt.Fprintf(&b, " %8s %8s %8s", "imbal", "dram%", "inj%")
-	}
-	if crit {
-		fmt.Fprintf(&b, " %8s", "crit%")
+	b.WriteString(title + "\n")
+	for i, c := range cols {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%*s", c.width, c.head)
 	}
 	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-12s %14d %12.6f %10.2f %16.4g %12.3f",
-			r.Label, r.Cycles, r.Seconds, r.Speedup, r.Metric, r.HostMevS)
-		if shuf {
-			fmt.Fprintf(&b, " %12d %8.2f", r.Msgs, r.tupPerMsg())
-		}
-		if rep {
-			fmt.Fprintf(&b, " %8.1f %8.2f", r.TaxPct, r.DRAMx)
-		}
-		if prof {
-			fmt.Fprintf(&b, " %8.2f %8.1f %8.1f", r.Imbalance, 100*r.DRAMUtil, 100*r.InjUtil)
-		}
-		if crit {
-			fmt.Fprintf(&b, " %8.2f", 100*r.CritPct)
+	for r := range rows {
+		for i, c := range cols {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%*"+c.verb, c.width, c.cell(&rows[r]))
 		}
 		b.WriteByte('\n')
 	}
-	for _, n := range t.Notes {
+	for _, n := range notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
 }
 
-// Markdown renders the table as a GitHub table (EXPERIMENTS.md).
-func (t *Table) Markdown() string {
-	prof := t.profiled()
-	crit := t.critTracked()
-	shuf := t.shuffled()
-	rep := t.replicated()
+// formatMarkdown renders rows as a GitHub table under a bold title.
+func formatMarkdown[R any](title string, cols []column[R], rows []R, notes []string) string {
+	cols = shown(cols, rows)
 	var b strings.Builder
-	fmt.Fprintf(&b, "**%s — %s**\n\n", t.Title, t.Workload)
-	fmt.Fprintf(&b, "| config | cycles | seconds | speedup | %s | host-Mev/s |", t.MetricName)
-	sep := "\n|---|---|---|---|---|---|"
-	if shuf {
-		b.WriteString(" msgs | tup/msg |")
-		sep += "---|---|"
-	}
-	if rep {
-		b.WriteString(" tax% | dramx |")
-		sep += "---|---|"
-	}
-	if prof {
-		b.WriteString(" imbal | dram% | inj% |")
-		sep += "---|---|---|"
-	}
-	if crit {
-		b.WriteString(" crit% |")
-		sep += "---|"
-	}
-	b.WriteString(sep + "\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s | %d | %.6f | %.2f | %.4g | %.3f |",
-			r.Label, r.Cycles, r.Seconds, r.Speedup, r.Metric, r.HostMevS)
-		if shuf {
-			fmt.Fprintf(&b, " %d | %.2f |", r.Msgs, r.tupPerMsg())
+	fmt.Fprintf(&b, "**%s**\n\n|", title)
+	for _, c := range cols {
+		head := c.md
+		if head == "" {
+			head = c.head
 		}
-		if rep {
-			fmt.Fprintf(&b, " %.1f | %.2f |", r.TaxPct, r.DRAMx)
-		}
-		if prof {
-			fmt.Fprintf(&b, " %.2f | %.1f | %.1f |", r.Imbalance, 100*r.DRAMUtil, 100*r.InjUtil)
-		}
-		if crit {
-			fmt.Fprintf(&b, " %.2f |", 100*r.CritPct)
+		fmt.Fprintf(&b, " %s |", head)
+	}
+	b.WriteString("\n|" + strings.Repeat("---|", len(cols)) + "\n")
+	for r := range rows {
+		b.WriteByte('|')
+		for _, c := range cols {
+			fmt.Fprintf(&b, " %"+c.verb+" |", c.cell(&rows[r]))
 		}
 		b.WriteByte('\n')
 	}
-	for _, n := range t.Notes {
+	for _, n := range notes {
 		fmt.Fprintf(&b, "\n*note: %s*\n", n)
 	}
-	b.WriteString("\n")
 	return b.String()
+}
+
+// PrintTables writes result tables to stdout as GitHub markdown or as
+// aligned text. In text, a figure Table is followed by a blank line, as
+// its markdown is.
+func PrintTables[T interface {
+	Format() string
+	Markdown() string
+}](markdown bool, tables ...T) {
+	for _, t := range tables {
+		if markdown {
+			fmt.Print(t.Markdown())
+			continue
+		}
+		fmt.Print(t.Format())
+		if _, fig := any(t).(*Table); fig {
+			fmt.Println()
+		}
+	}
 }
 
 // ParseNodeList parses "1,2,4,8" sweep flags. Entries must be whole

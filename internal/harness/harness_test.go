@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"updown/internal/graph"
 )
 
 // The figure runners at miniature scale: every experiment must complete,
@@ -12,7 +15,7 @@ import (
 func TestFig9PageRankSmoke(t *testing.T) {
 	tables, err := Fig9PageRank(Fig9Options{
 		Scale: 9, Nodes: []int{1, 2}, Presets: []string{"rmat"},
-		Validate: true, Shards: 1,
+		Validate: true, SweepOptions: SweepOptions{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +34,7 @@ func TestFig9PageRankSmoke(t *testing.T) {
 func TestFig9BFSSmoke(t *testing.T) {
 	tables, err := Fig9BFS(Fig9Options{
 		Scale: 9, Nodes: []int{1, 2}, Presets: []string{"soc-livej"},
-		Validate: true, Shards: 1,
+		Validate: true, SweepOptions: SweepOptions{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +47,7 @@ func TestFig9BFSSmoke(t *testing.T) {
 func TestFig9TCSmoke(t *testing.T) {
 	tables, err := Fig9TC(Fig9Options{
 		Scale: 8, Nodes: []int{1, 2}, Presets: []string{"com-orkut"},
-		Validate: true, Shards: 1,
+		Validate: true, SweepOptions: SweepOptions{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +60,7 @@ func TestFig9TCSmoke(t *testing.T) {
 func TestFig10Smoke(t *testing.T) {
 	tables, err := Fig10Ingestion(Fig10Options{
 		BaseRecords: 300, Multipliers: []float64{1}, Nodes: []int{1, 2},
-		Shards: 1,
+		SweepOptions: SweepOptions{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +72,7 @@ func TestFig10Smoke(t *testing.T) {
 
 func TestFig11Smoke(t *testing.T) {
 	tb, err := Fig11PartialMatch(Fig11Options{
-		Records: 120, LaneCounts: []int{64, 512}, Shards: 1,
+		Records: 120, LaneCounts: []int{64, 512}, SweepOptions: SweepOptions{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +92,7 @@ func TestFig12Smoke(t *testing.T) {
 	// point (see Fig12Options.DRAMBytesPerCycle).
 	tables, err := Fig12Placement(Fig12Options{
 		ComputeNodes: 4, MemNodes: []int{1, 4}, Scale: 13,
-		DRAMBytesPerCycle: 100, Shards: 1,
+		DRAMBytesPerCycle: 100, SweepOptions: SweepOptions{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,19 +108,300 @@ func TestFig12Smoke(t *testing.T) {
 	}
 }
 
+// TestTableFormatting pins every renderer byte for byte, Format and
+// Markdown: Table with each optional column group (shuffle, replication,
+// profile, crit) off and on, ChaosTable with and without crit%, and
+// ChaosRepTable. A group is shown when any row carries it.
 func TestTableFormatting(t *testing.T) {
-	tb := &Table{Title: "T", Workload: "W", MetricName: "M",
-		Rows:  []Row{{Label: "1", Cycles: 100, Seconds: 5e-8, Speedup: 1, Metric: 3.5}},
-		Notes: []string{"hello"}}
-	txt := tb.Format()
-	for _, want := range []string{"T — W", "config", "M", "hello", "3.5"} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("Format missing %q:\n%s", want, txt)
+	golden := map[string][2]string{
+		"table/plain": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s
+1                    123456     0.000062       1.00              3.5       12.250
+2 lanes               61728     0.000031       2.00            7.125       11.500
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s |
+|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/shuffle": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s         msgs  tup/msg
+1                    123456     0.000062       1.00              3.5       12.250          100     2.50
+2 lanes               61728     0.000031       2.00            7.125       11.500          200     2.50
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s | msgs | tup/msg |
+|---|---|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 | 100 | 2.50 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 | 200 | 2.50 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/shuffle-one-row": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s         msgs  tup/msg
+1                    123456     0.000062       1.00              3.5       12.250            0     0.00
+2 lanes               61728     0.000031       2.00            7.125       11.500            0     0.00
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s | msgs | tup/msg |
+|---|---|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 | 0 | 0.00 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 | 0 | 0.00 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/replication": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s     tax%    dramx
+1                    123456     0.000062       1.00              3.5       12.250      0.0     1.00
+2 lanes               61728     0.000031       2.00            7.125       11.500     12.5     1.75
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s | tax% | dramx |
+|---|---|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 | 0.0 | 1.00 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 | 12.5 | 1.75 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/profile": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s    imbal    dram%     inj%
+1                    123456     0.000062       1.00              3.5       12.250     1.50     25.0     12.5
+2 lanes               61728     0.000031       2.00            7.125       11.500     1.50     50.0     12.5
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s | imbal | dram% | inj% |
+|---|---|---|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 | 1.50 | 25.0 | 12.5 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 | 1.50 | 50.0 | 12.5 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/crit": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s    crit%
+1                    123456     0.000062       1.00              3.5       12.250    43.21
+2 lanes               61728     0.000031       2.00            7.125       11.500     0.00
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s | crit% |
+|---|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 | 43.21 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 | 0.00 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/all": {
+			`Figure T — rmat s9
+config               cycles      seconds    speedup             GUPS   host-Mev/s         msgs  tup/msg     tax%    dramx    imbal    dram%     inj%    crit%
+1                    123456     0.000062       1.00              3.5       12.250           40     2.00      3.0     1.50     2.00     50.0     75.0    90.00
+2 lanes               61728     0.000031       2.00            7.125       11.500           40     2.00      3.0     1.50     2.00     50.0     75.0    90.00
+  note: first note
+  note: second note
+`,
+			`**Figure T — rmat s9**
+
+| config | cycles | seconds | speedup | GUPS | host-Mev/s | msgs | tup/msg | tax% | dramx | imbal | dram% | inj% | crit% |
+|---|---|---|---|---|---|---|---|---|---|---|---|---|---|
+| 1 | 123456 | 0.000062 | 1.00 | 3.5 | 12.250 | 40 | 2.00 | 3.0 | 1.50 | 2.00 | 50.0 | 75.0 | 90.00 |
+| 2 lanes | 61728 | 0.000031 | 2.00 | 7.125 | 11.500 | 40 | 2.00 | 3.0 | 1.50 | 2.00 | 50.0 | 75.0 | 90.00 |
+
+*note: first note*
+
+*note: second note*
+
+`},
+		"table/empty": {
+			`Figure E — none
+config               cycles      seconds    speedup           MRec/s   host-Mev/s
+`,
+			`**Figure E — none**
+
+| config | cycles | seconds | speedup | MRec/s | host-Mev/s |
+|---|---|---|---|---|---|
+
+`},
+		"chaos/plain": {
+			`Chaos sweep: resilient BFS under message faults — rmat s8
+drop               cycles  goodput-GTEPS     recovery    dropped     dupped    retries  dup-drops    rekicks
+0.000                5000         1.2500            0          0          0          0          0          0
+0.050                6500         0.8750         1500         12          3         14          2          1
+  note: bit-identical
+`,
+			`**Chaos sweep: resilient BFS under message faults — rmat s8**
+
+| drop | cycles | goodput GTEPS | recovery | dropped | dupped | retries | dup-drops | rekicks |
+|---|---|---|---|---|---|---|---|---|
+| 0.000 | 5000 | 1.2500 | 0 | 0 | 0 | 0 | 0 | 0 |
+| 0.050 | 6500 | 0.8750 | 1500 | 12 | 3 | 14 | 2 | 1 |
+
+*note: bit-identical*
+`},
+		"chaos/crit": {
+			`Chaos sweep: resilient BFS under message faults — rmat s8
+drop               cycles  goodput-GTEPS     recovery    dropped     dupped    retries  dup-drops    rekicks    crit%
+0.000                5000         1.2500            0          0          0          0          0          0    87.50
+0.050                6500         0.8750         1500         12          3         14          2          1     0.00
+  note: bit-identical
+`,
+			`**Chaos sweep: resilient BFS under message faults — rmat s8**
+
+| drop | cycles | goodput GTEPS | recovery | dropped | dupped | retries | dup-drops | rekicks | crit% |
+|---|---|---|---|---|---|---|---|---|---|
+| 0.000 | 5000 | 1.2500 | 0 | 0 | 0 | 0 | 0 | 0 | 87.50 |
+| 0.050 | 6500 | 0.8750 | 1500 | 12 | 3 | 14 | 2 | 1 | 0.00 |
+
+*note: bit-identical*
+`},
+		"chaosrep": {
+			`Replicated-memory chaos: mid-run fail-stop of a data node — rmat s8, k=2
+app           clean-cyc    fault-cyc     tax%    failstop@  failover   fallback  deadltr   hints hint-words  repaired repl                   match
+bfs                9000         9900    10.00         4500         7         21        0       3         48         0 fo=7 fb=21 hq=3        bit-exact
+pagerank          12000        12600     5.00         6000         2          5        0       1          8         4 fo=2 fb=5 hq=1         rel<=1e-09
+  note: validated
+  note: repaired = words
+`,
+			`**Replicated-memory chaos: mid-run fail-stop of a data node — rmat s8, k=2**
+
+| app | clean cyc | fault cyc | tax% | failstop@ | failovers | fallback reads | dead letters | hints | hint words | repaired | repl | match |
+|---|---|---|---|---|---|---|---|---|---|---|---|---|
+| bfs | 9000 | 9900 | 10.00 | 4500 | 7 | 21 | 0 | 3 | 48 | 0 | fo=7 fb=21 hq=3 | bit-exact |
+| pagerank | 12000 | 12600 | 5.00 | 6000 | 2 | 5 | 0 | 1 | 8 | 4 | fo=2 fb=5 hq=1 | rel<=1e-09 |
+
+*note: validated*
+
+*note: repaired = words*
+`},
+	}
+	for _, tc := range renderCases() {
+		want, ok := golden[tc.name]
+		if !ok {
+			t.Fatalf("%s: no golden output", tc.name)
+		}
+		if got := tc.tb.Format(); got != want[0] {
+			t.Errorf("%s: Format =\n%s\nwant\n%s", tc.name, got, want[0])
+		}
+		if got := tc.tb.Markdown(); got != want[1] {
+			t.Errorf("%s: Markdown =\n%s\nwant\n%s", tc.name, got, want[1])
 		}
 	}
-	md := tb.Markdown()
-	if !strings.Contains(md, "| 1 | 100 |") {
-		t.Errorf("Markdown wrong:\n%s", md)
+}
+
+// renderCases are the inputs of the byte-exact renderer test: every
+// optional column group of Table off and on, ChaosTable with and without
+// crit%, and ChaosRepTable.
+func renderCases() []struct {
+	name string
+	tb   interface {
+		Format() string
+		Markdown() string
+	}
+} {
+	rows := func(mod func(i int, r *Row)) []Row {
+		rs := []Row{
+			{Label: "1", Cycles: 123456, Seconds: 6.1728e-05, Speedup: 1, Metric: 3.5, HostMevS: 12.25},
+			{Label: "2 lanes", Cycles: 61728, Seconds: 3.0864e-05, Speedup: 2, Metric: 7.125, HostMevS: 11.5},
+		}
+		for i := range rs {
+			if mod != nil {
+				mod(i, &rs[i])
+			}
+		}
+		return rs
+	}
+	table := func(mod func(i int, r *Row)) *Table {
+		return &Table{Title: "Figure T", Workload: "rmat s9", MetricName: "GUPS",
+			Rows: rows(mod), Notes: []string{"first note", "second note"}}
+	}
+	chaosRows := func(crit float64) []ChaosRow {
+		return []ChaosRow{
+			{DropRate: 0, Cycles: 5000, Goodput: 1.25, CritPct: crit},
+			{DropRate: 0.05, Cycles: 6500, Goodput: 0.875, Recovery: 1500, Dropped: 12,
+				Dupped: 3, DeadLetters: 0, Retries: 14, DupDrops: 2, Rekicks: 1},
+		}
+	}
+	type c = struct {
+		name string
+		tb   interface {
+			Format() string
+			Markdown() string
+		}
+	}
+	return []c{
+		{"table/plain", table(nil)},
+		{"table/shuffle", table(func(i int, r *Row) { r.Msgs, r.Tuples = int64(100*(i+1)), int64(250*(i+1)) })},
+		{"table/shuffle-one-row", table(func(i int, r *Row) {
+			if i == 1 {
+				r.Tuples = 9
+			}
+		})},
+		{"table/replication", table(func(i int, r *Row) { r.TaxPct, r.DRAMx = float64(i)*12.5, 1+float64(i)*0.75 })},
+		{"table/profile", table(func(i int, r *Row) { r.Imbalance, r.DRAMUtil, r.InjUtil = 1.5, 0.25*float64(i+1), 0.125 })},
+		{"table/crit", table(func(i int, r *Row) {
+			if i == 0 {
+				r.CritPct = 0.4321
+			}
+		})},
+		{"table/all", table(func(i int, r *Row) {
+			r.Msgs, r.Tuples = 40, 80
+			r.TaxPct, r.DRAMx = 3, 1.5
+			r.Imbalance, r.DRAMUtil, r.InjUtil = 2, 0.5, 0.75
+			r.CritPct = 0.9
+		})},
+		{"table/empty", &Table{Title: "Figure E", Workload: "none", MetricName: "MRec/s"}},
+		{"chaos/plain", &ChaosTable{Workload: "rmat s8", Rows: chaosRows(0), Notes: []string{"bit-identical"}}},
+		{"chaos/crit", &ChaosTable{Workload: "rmat s8", Rows: chaosRows(0.875), Notes: []string{"bit-identical"}}},
+		{"chaosrep", &ChaosRepTable{Workload: "rmat s8, k=2", Rows: []ChaosRepRow{
+			{App: "bfs", CleanCycles: 9000, FaultCycles: 9900, TaxPct: 10, FailStopAt: 4500,
+				Failovers: 7, FallbackReads: 21, DeadLetters: 0, Hints: 3, HintWords: 48,
+				RepairedWords: 0, Repl: "fo=7 fb=21 hq=3", Match: "bit-exact"},
+			{App: "pagerank", CleanCycles: 12000, FaultCycles: 12600, TaxPct: 5, FailStopAt: 6000,
+				Failovers: 2, FallbackReads: 5, Hints: 1, HintWords: 8, RepairedWords: 4,
+				Repl: "fo=2 fb=5 hq=1", Match: "rel<=1e-09"},
+		}, Notes: []string{"validated", "repaired = words"}}},
 	}
 }
 
@@ -183,7 +467,7 @@ func TestParseNodeList(t *testing.T) {
 func TestTimeoutBecomesNote(t *testing.T) {
 	tables, err := Fig9PageRank(Fig9Options{
 		Scale: 9, Nodes: []int{1, 2}, Presets: []string{"rmat"},
-		Shards: 1, MaxTime: 100,
+		SweepOptions: SweepOptions{Shards: 1, MaxTime: 100},
 	})
 	if err != nil {
 		t.Fatalf("sweep aborted on timeout: %v", err)
@@ -208,7 +492,7 @@ func TestTimeoutBecomesNote(t *testing.T) {
 func TestProfiledSweepFillsUtilization(t *testing.T) {
 	tables, err := Fig9PageRank(Fig9Options{
 		Scale: 9, Nodes: []int{2}, Presets: []string{"rmat"},
-		Shards: 1, Profile: true,
+		SweepOptions: SweepOptions{Shards: 1, Profile: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,5 +541,87 @@ func TestFigSchedSmoke(t *testing.T) {
 	}
 	if len(r.Tenants) == 0 {
 		t.Fatal("tenant accounting missing")
+	}
+}
+
+// TestNegativeScaleIsError: every graph-generating entry point rejects a
+// negative scale with the graph builder's typed error instead of panicking
+// on a negative shift.
+func TestNegativeScaleIsError(t *testing.T) {
+	one := SweepOptions{Shards: 1}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"Fig9PageRank", func() error {
+			_, err := Fig9PageRank(Fig9Options{Scale: -1, Nodes: []int{1}, Presets: []string{"rmat"}, SweepOptions: one})
+			return err
+		}},
+		{"Fig9BFS", func() error {
+			_, err := Fig9BFS(Fig9Options{Scale: -1, Nodes: []int{1}, Presets: []string{"rmat"}, SweepOptions: one})
+			return err
+		}},
+		{"Fig9TC", func() error {
+			_, err := Fig9TC(Fig9Options{Scale: -1, Nodes: []int{1}, Presets: []string{"rmat"}, SweepOptions: one})
+			return err
+		}},
+		{"Fig12Placement", func() error {
+			_, err := Fig12Placement(Fig12Options{Scale: -1, ComputeNodes: 1, MemNodes: []int{1}, SweepOptions: one})
+			return err
+		}},
+		{"ChaosBFS", func() error {
+			_, err := ChaosBFS(ChaosOptions{Scale: -1, Nodes: 1, Shards: 1})
+			return err
+		}},
+		{"ChaosReplicated", func() error {
+			_, err := ChaosReplicated(ChaosRepOptions{Scale: -1, Rep: 2, Shards: 1})
+			return err
+		}},
+		{"FigServe", func() error {
+			_, err := FigServe(FigServeOptions{Scale: -1, Nodes: 1, Shards: 1})
+			return err
+		}},
+		{"FigSched", func() error {
+			_, err := FigSched(FigSchedOptions{Scale: -1, Nodes: 2, Shards: 1})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			err := tc.run()
+			var se *graph.ScaleError
+			if !errors.As(err, &se) || se.Scale != -1 {
+				t.Fatalf("err = %v, want *graph.ScaleError for scale -1", err)
+			}
+		})
+	}
+}
+
+// TestPageRankIterations: a negative iteration count fails the sweep
+// instead of reporting negative throughput, and zero runs (and reports)
+// the one iteration that one does.
+func TestPageRankIterations(t *testing.T) {
+	run := func(iters int) ([]*Table, error) {
+		return Fig9PageRank(Fig9Options{Scale: 8, Nodes: []int{1}, Presets: []string{"rmat"},
+			Iterations: iters, Validate: true, SweepOptions: SweepOptions{Shards: 1}})
+	}
+	if _, err := run(-1); err == nil {
+		t.Error("iterations -1 accepted")
+	}
+	one, err := run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := zero[0].Rows[0], one[0].Rows[0]; a.Cycles != b.Cycles || a.Metric != b.Metric {
+		t.Errorf("iterations 0: %d cycles %v GUPS, iterations 1: %d cycles %v GUPS", a.Cycles, a.Metric, b.Cycles, b.Metric)
 	}
 }

@@ -73,3 +73,20 @@ go run ./cmd/figserve -queries 12 -gaps 8000,3000 \
 # reconcile loop over the sharded engine.
 go test -race -count=1 ./internal/sched/
 go run ./cmd/figsched -nodes 4 -scale 8 -jobs 8 -loads 8000,3000 -verify
+
+# CLI-input smoke (ROADMAP item 4: panics reachable from CLI input become
+# typed errors): every graph-generating command must reject -scale -1
+# with exit status 1 and an error message, never a runtime panic.
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin" ./cmd/fig9pr ./cmd/fig9bfs ./cmd/fig9tc ./cmd/fig12 \
+    ./cmd/figchaos ./cmd/figserve ./cmd/figsched ./cmd/updown-sim
+for cmd in fig9pr fig9bfs fig9tc fig12 figchaos "figchaos -rep 2" figserve figsched "updown-sim -app bfs"; do
+    status=0
+    $bin/$cmd -scale -1 >/dev/null 2>"$bin/stderr" || status=$?
+    if [ "$status" -ne 1 ] || grep -q 'panic:' "$bin/stderr"; then
+        echo "$cmd -scale -1: exit $status, want 1 without a panic" >&2
+        cat "$bin/stderr" >&2
+        exit 1
+    fi
+done
